@@ -100,32 +100,6 @@ class _Hasher:
         return self._h.hexdigest()
 
 
-def _scan_rows(scan) -> Iterable[dict[str, Any]]:
-    # Record order is part of the dataset's content (downstream lists
-    # preserve it), so rows are fed in dataset order, not sorted.
-    table = getattr(scan, "table", None)
-    if table is not None:
-        # Columnar fast path: walk the typed arrays directly — same row
-        # shape, no record objects materialized.
-        yield from table.row_dicts()
-        return
-    for record in scan.records():
-        yield {
-            "d": record.scan_date.isoformat(),
-            "ip": record.ip,
-            "ports": list(record.ports),
-            "asn": record.asn,
-            "cc": record.country,
-            "trusted": record.trusted,
-            "sensitive": record.sensitive,
-            "names": list(record.names),
-            "base": list(record.base_domains),
-            # The certificate fingerprint is itself a content hash over
-            # every identity field, so it stands in for the full cert.
-            "cert": record.certificate.fingerprint,
-        }
-
-
 def _pdns_rows(pdns) -> list[dict[str, Any]]:
     rows = [
         {
@@ -185,17 +159,14 @@ def scan_block_digests(scan) -> tuple[str, ...]:
     segment header, and the epoch overlay extending a base table's
     digests with only the appended rows.
     """
-    table = getattr(scan, "table", None)
-    if table is None and hasattr(scan, "row_dicts"):
-        table = scan  # a bare ScanTable digests like its dataset
-    owner = scan if table is None else table
-    memo = getattr(owner, "_repro_block_digests", None)
+    # A bare ScanTable digests like its dataset.
+    table = scan if hasattr(scan, "row_dicts") else scan.table
+    memo = getattr(table, "_repro_block_digests", None)
     if memo is not None and memo[0] == SCAN_BLOCK_ROWS:
         return memo[1]
-    rows = table.row_dicts() if table is not None else _scan_rows(scan)
-    digests = tuple(_block_digests(rows))
+    digests = tuple(_block_digests(table.row_dicts()))
     try:
-        object.__setattr__(owner, "_repro_block_digests", (SCAN_BLOCK_ROWS, digests))
+        object.__setattr__(table, "_repro_block_digests", (SCAN_BLOCK_ROWS, digests))
     except (AttributeError, TypeError):
         pass
     return digests

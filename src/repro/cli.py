@@ -491,26 +491,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         metrics.write(args.out)
         logger.info("run manifest written to %s", args.out)
     if args.json:
-        from repro.core.pipeline import PipelineInputs
         from repro.obs.perf import perf_summary, write_perf_summary
 
-        summary = perf_summary(
-            study.scan,
-            study.periods,
-            metrics,
-            inputs=PipelineInputs.from_study(study),
-        )
-        write_perf_summary(args.json, summary)
-        kernel = summary["deployment_kernel"]
-        funnel = summary["funnel_stages"]
-        logger.info(
-            "perf summary written to %s (deployment kernel %sx faster, "
-            "payload %sx smaller; classify %sx, shortlist %sx, "
-            "inspect %sx, assemble %sx)",
-            args.json, kernel["speedup"], kernel["payload_ratio"],
-            funnel["classify"]["speedup"], funnel["shortlist"]["speedup"],
-            funnel["inspect"]["speedup"], funnel["assemble"]["speedup"],
-        )
+        write_perf_summary(args.json, perf_summary(study.scan, metrics))
+        logger.info("perf summary written to %s", args.json)
     _write_trace(tracer, args)
     return 0
 
@@ -854,7 +838,7 @@ def _cmd_epoch(args: argparse.Namespace) -> int:
     tracer = _make_tracer(args)
     events = _make_events(args)
     try:
-        report, metrics, dirty = run_epoch(
+        report, metrics, _dirty = run_epoch(
             inputs, delta,
             faults=_fault_plan(args),
             backend=_make_backend(args),
@@ -869,7 +853,7 @@ def _cmd_epoch(args: argparse.Namespace) -> int:
     stats = metrics.epoch or {}
     print(
         f"epoch {delta.epoch} ({delta.label or 'unlabeled'}): "
-        f"{stats.get('domains_dirty', len(dirty.all_dirty))} dirty of "
+        f"{stats.get('domains_dirty')} dirty of "
         f"{stats.get('domains', '?')} domains, "
         f"{stats.get('domains_reused', 0)} reused"
         + (
@@ -1188,7 +1172,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         metavar="FILE",
         help="write a BENCH_perf.json summary (stage wall times, dataset "
-        "bytes, measured legacy-vs-columnar kernel time and payload bytes)",
+        "bytes and payload bytes)",
     )
     profile.add_argument(
         "--manifest", metavar="FILE", help="render an existing manifest instead"

@@ -19,8 +19,9 @@ Two construction paths exist:
   results and cache entries ship instead of object graphs;
 * the **row path** (:func:`build_deployment_map`) takes explicit record
   lists — the original reference algorithm, still the API for callers
-  holding loose records and the oracle the differential property tests
-  compare the columnar kernel against.
+  holding loose records (the gallery, the baseline features) and the
+  oracle the differential property tests compare the columnar kernel
+  against.  The pipeline never runs it.
 
 Both are required to produce identical maps (group partition, ordering,
 and ``map.records``) for any dataset.

@@ -206,66 +206,32 @@ class _FindingBuilder:
     def __init__(
         self,
         inputs: PipelineInputs,
-        classifications: dict[tuple[str, int], Classification] | None = None,
+        classifications: dict[tuple[str, int], Classification],
     ) -> None:
         self._routing = inputs.routing
         self._geo = inputs.geo
         # One sorted pass over the classification table precomputes every
-        # domain's stable infrastructure, so assembling N findings stops
-        # rescanning the whole table N times.  Matches the row-at-a-time
-        # reference (:meth:`_victim_infra`) per domain exactly.
-        self._infra: dict[str, tuple[tuple[int, ...], tuple[str, ...]]] = {}
-        if classifications is not None:
-            acc: dict[str, tuple[list[int], list[str]]] = {}
-            for (domain, _), classification in sorted(classifications.items()):
-                asns, ccs = acc.setdefault(domain, ([], []))
-                for deployment in classification.stable:
-                    if deployment.asn not in asns:
-                        asns.append(deployment.asn)
-                    for cc in sorted(deployment.countries):
-                        if cc not in ccs:
-                            ccs.append(cc)
-            self._infra = {
-                domain: (tuple(asns), tuple(ccs))
-                for domain, (asns, ccs) in acc.items()
-            }
-
-    def _locate_ip(self, ip: str) -> tuple[int | None, str | None]:
-        asn = self._routing.lookup(ip) if self._routing else None
-        cc = self._geo.lookup(ip) if self._geo else None
-        return asn, cc
-
-    def _victim_infra_for(
-        self,
-        classifications: dict[tuple[str, int], Classification],
-        domain: str,
-    ) -> tuple[tuple[int, ...], tuple[str, ...]]:
-        if self._infra:
-            return self._infra.get(domain, ((), ()))
-        return self._victim_infra(classifications, domain)
-
-    @staticmethod
-    def _victim_infra(
-        classifications: dict[tuple[str, int], Classification], domain: str
-    ) -> tuple[tuple[int, ...], tuple[str, ...]]:
-        asns: list[int] = []
-        ccs: list[str] = []
-        for (d, _), classification in sorted(classifications.items()):
-            if d != domain:
-                continue
+        # domain's stable infrastructure: ASNs and countries in first-seen
+        # order over the domain's periods.
+        acc: dict[str, tuple[list[int], list[str]]] = {}
+        for (domain, _), classification in sorted(classifications.items()):
+            asns, ccs = acc.setdefault(domain, ([], []))
             for deployment in classification.stable:
                 if deployment.asn not in asns:
                     asns.append(deployment.asn)
                 for cc in sorted(deployment.countries):
                     if cc not in ccs:
                         ccs.append(cc)
-        return tuple(asns), tuple(ccs)
+        self._infra: dict[str, tuple[tuple[int, ...], tuple[str, ...]]] = {
+            domain: (tuple(asns), tuple(ccs)) for domain, (asns, ccs) in acc.items()
+        }
 
-    def from_inspection(
-        self,
-        result: InspectionResult,
-        classifications: dict[tuple[str, int], Classification],
-    ) -> DomainFinding:
+    def _locate_ip(self, ip: str) -> tuple[int | None, str | None]:
+        asn = self._routing.lookup(ip) if self._routing else None
+        cc = self._geo.lookup(ip) if self._geo else None
+        return asn, cc
+
+    def from_inspection(self, result: InspectionResult) -> DomainFinding:
         entry = result.entry
         first_evidence: date | None = None
         if result.evidence.a_redirects:
@@ -296,7 +262,7 @@ class _FindingBuilder:
             if name != entry.domain and name.endswith("." + entry.domain):
                 subdomain = name[: -(len(entry.domain) + 1)]
 
-        victim_asns, victim_ccs = self._victim_infra_for(classifications, entry.domain)
+        victim_asns, victim_ccs = self._infra.get(entry.domain, ((), ()))
         return DomainFinding(
             domain=entry.domain,
             provenance=trail_from_inspection(result, self._locate_ip),
@@ -317,11 +283,7 @@ class _FindingBuilder:
             notes=tuple(result.evidence.notes),
         )
 
-    def from_pivot(
-        self,
-        pivot: PivotFinding,
-        classifications: dict[tuple[str, int], Classification],
-    ) -> DomainFinding:
+    def from_pivot(self, pivot: PivotFinding) -> DomainFinding:
         a_rows = [r for r in pivot.pdns_rows if r.rtype.value == "A"]
         first_evidence = (
             min(r.first_seen for r in pivot.pdns_rows) if pivot.pdns_rows else None
@@ -345,7 +307,7 @@ class _FindingBuilder:
             if name.endswith("." + pivot.domain):
                 subdomain = name[: -(len(pivot.domain) + 1)]
 
-        victim_asns, victim_ccs = self._victim_infra_for(classifications, pivot.domain)
+        victim_asns, victim_ccs = self._infra.get(pivot.domain, ((), ()))
         return DomainFinding(
             domain=pivot.domain,
             provenance=trail_from_pivot(pivot, self._locate_ip),
@@ -679,12 +641,12 @@ class AssembleStage(Stage):
             if result.verdict in (Verdict.HIJACKED, Verdict.TARGETED):
                 if result.domain in seen:
                     continue
-                findings.append(builder.from_inspection(result, ctx.classifications))
+                findings.append(builder.from_inspection(result))
                 seen.add(result.domain)
         for pivot in ctx.pivots:
             if pivot.domain in seen:
                 continue
-            findings.append(builder.from_pivot(pivot, ctx.classifications))
+            findings.append(builder.from_pivot(pivot))
             seen.add(pivot.domain)
         findings.sort(
             key=lambda f: ((f.victim_ccs[0] if f.victim_ccs else "zz"), f.domain)

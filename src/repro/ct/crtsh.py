@@ -1,10 +1,11 @@
 """crt.sh-style certificate search service.
 
-Indexes logged certificates by the registered domain of every SAN and
-answers the inspection stage's queries: all certificates ever issued for
-names under a domain, optionally restricted to a date window or to a
-specific FQDN, each annotated with issuer and retroactively determinable
-revocation status (CRL-backed issuers only — the Table 9 asymmetry).
+Indexes logged certificates by the registered domain of every SAN (the
+columnar :class:`~repro.ct.table.CtTable`) and answers the inspection
+stage's queries: all certificates ever issued for names under a domain,
+optionally restricted to a date window or to a specific FQDN, each
+annotated with issuer and retroactively determinable revocation status
+(CRL-backed issuers only — the Table 9 asymmetry).
 """
 
 from __future__ import annotations
@@ -62,13 +63,6 @@ class CrtShService:
         self._publication_delay = timedelta(days=publication_delay_days)
         self._publication_horizon = publication_horizon
         self.hidden_entries = 0
-        # registered domain -> list of (cert, logged_at); rebuilt lazily.
-        # Kept as the row-at-a-time reference behind ``use_table``.
-        self._index: dict[str, list[tuple[Certificate, date]]] = {}
-        self._indexed_counts: dict[int, int] = {}
-        #: Columnar query path toggle; the legacy index stays behind it
-        #: for the differential suites and perf baselines.
-        self.use_table = True
         self._table: CtTable | None = None
         self._table_count = -1
         self._entry_cache: dict[int, CrtShEntry] = {}
@@ -126,7 +120,7 @@ class CrtShService:
 
         ``horizon`` is the date the retroactive analysis runs: entries
         whose delayed publication lands after it have not surfaced yet
-        and are hidden.  The derived index is built eagerly so
+        and are hidden.  The derived table is built eagerly so
         ``hidden_entries`` is immediately meaningful.
         """
         derived = CrtShService(
@@ -136,35 +130,8 @@ class CrtShService:
             publication_delay_days=days,
             publication_horizon=horizon,
         )
-        derived.use_table = self.use_table
-        if derived.use_table:
-            derived._ensure_table()
-        else:
-            derived._refresh_index()
+        derived._ensure_table()
         return derived
-
-    def _refresh_index(self) -> None:
-        for log_pos, log in enumerate(self._logs):
-            seen = self._indexed_counts.get(log_pos, 0)
-            entries = log.entries()
-            for entry in entries[seen:]:
-                published = entry.timestamp + self._publication_delay
-                if (
-                    self._publication_horizon is not None
-                    and published > self._publication_horizon
-                ):
-                    self.hidden_entries += 1
-                    continue
-                for san in entry.certificate.sans:
-                    name = san[2:] if san.startswith("*.") else san
-                    try:
-                        base = registered_domain(name)
-                    except ValueError:
-                        continue
-                    self._index.setdefault(base, []).append(
-                        (entry.certificate, published)
-                    )
-            self._indexed_counts[log_pos] = len(entries)
 
     def _status(self, cert: Certificate) -> RevocationStatus:
         # Memoized per fingerprint; the registry is append-only, so the
@@ -223,32 +190,12 @@ class CrtShService:
         issued_before: date | None = None,
     ) -> list[CrtShEntry]:
         """All certificates securing names under ``domain``'s registered domain."""
-        base = registered_domain(domain)
-        if self.use_table:
-            table = self._ensure_table()
-            rows = table.search_rows(
-                base,
-                issued_after.toordinal() if issued_after is not None else None,
-                issued_before.toordinal() if issued_before is not None else None,
-            )
-            return [self._entry(row) for row in rows]
-        self._refresh_index()
-        results: list[CrtShEntry] = []
-        for cert, logged_at in self._index.get(base, []):
-            if issued_after is not None and cert.not_before < issued_after:
-                continue
-            if issued_before is not None and cert.not_before > issued_before:
-                continue
-            results.append(
-                CrtShEntry(
-                    crtsh_id=cert.crtsh_id,
-                    certificate=cert,
-                    logged_at=logged_at,
-                    revocation=self._status(cert),
-                )
-            )
-        results.sort(key=lambda e: (e.issued_on, e.crtsh_id))
-        return results
+        rows = self._ensure_table().search_rows(
+            registered_domain(domain),
+            issued_after.toordinal() if issued_after is not None else None,
+            issued_before.toordinal() if issued_before is not None else None,
+        )
+        return [self._entry(row) for row in rows]
 
     def search_exact(
         self,
@@ -265,15 +212,8 @@ class CrtShService:
 
     def lookup_id(self, crtsh_id: int) -> CrtShEntry | None:
         """Fetch a single entry by its crt.sh identifier."""
-        if self.use_table:
-            row = self._ensure_table().lookup_row(crtsh_id)
-            return None if row is None else self._entry(row)
-        self._refresh_index()
-        for certs in self._index.values():
-            for cert, logged_at in certs:
-                if cert.crtsh_id == crtsh_id:
-                    return CrtShEntry(crtsh_id, cert, logged_at, self._status(cert))
-        return None
+        row = self._ensure_table().lookup_row(crtsh_id)
+        return None if row is None else self._entry(row)
 
     def entry_at(self, fingerprint: str, logged_ord: int) -> CrtShEntry:
         """Decode one entry from its wire-form reference — the

@@ -1,25 +1,25 @@
 """Columnar struct-of-arrays storage for published CT log entries.
 
-crt.sh fronts billions of log entries; the inspection stage's questions
-— "all certificates under this registered domain", "this crt.sh id" —
-were answered by walking per-base lists of ``(cert, logged_at)`` tuples,
-with :meth:`~repro.ct.crtsh.CrtShService.lookup_id` scanning the whole
-index.  :class:`CtTable` mirrors :class:`repro.scan.table.ScanTable` for
-the CT channel: one row per *published* log entry in ``(log, entry)``
-order, typed-array columns for the dates and crt.sh ids, and first-seen
--order interned pools (issuers, SAN sets, certificates keyed by
-fingerprint) whose ids are a pure function of the row stream.
+crt.sh fronts billions of log entries; the inspection stage asks it two
+questions — "all certificates under this registered domain" and "this
+crt.sh id".  :class:`CtTable` answers both for
+:class:`~repro.ct.crtsh.CrtShService` and mirrors
+:class:`repro.scan.table.ScanTable` for the CT channel: one row per
+*published* log entry in ``(log, entry)`` order, typed-array columns for
+the dates and crt.sh ids, and first-seen-order interned pools (issuers,
+SAN sets, certificates keyed by fingerprint) whose ids are a pure
+function of the row stream.
 
-The registered-domain index replicates the legacy semantics exactly:
-every row is appended to the bucket of each SAN's registered domain *per
-SAN* (a certificate naming two subdomains of one base appears twice,
-like the reference index), buckets keep first-insertion base order, and
-each bucket also carries a stably ``(not_before, crtsh_id)``-sorted
-permutation with a parallel not-before ordinal array — so a date-window
-search is a ``bisect``-found contiguous slice.  Filtering a stably
-sorted list by a predicate measurable in the sort key equals stably
-sorting the filtered list, which is why the slice matches the
-reference's filter-then-sort byte for byte.
+The registered-domain index keeps crt.sh's per-SAN semantics: every row
+is appended to the bucket of each SAN's registered domain *per SAN* (a
+certificate naming two subdomains of one base appears twice), buckets
+keep first-insertion base order, and each bucket also carries a stably
+``(not_before, crtsh_id)``-sorted permutation with a parallel not-before
+ordinal array — so a date-window search is a ``bisect``-found contiguous
+slice.  Filtering a stably sorted list by a predicate measurable in the
+sort key equals stably sorting the filtered list, which is why the slice
+matches a per-SAN list index's filter-then-sort byte for byte (the
+property suite holds it to the test-only model in ``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class CtTable:
         self.hidden_entries = 0
         # -- per-registered-domain CSR index ---------------------------------
         self.bases: tuple[str, ...] = ()
-        self.base_rows = array("I")  # legacy append order, one slot per (row, SAN)
+        self.base_rows = array("I")  # bucket append order, one slot per (row, SAN)
         self.base_sorted = array("I")  # per base: stable (not_before, crtsh_id) sort
         self.base_nb = array("i")  # not-before ordinals parallel to base_sorted
         self.base_off = array("I", [0])
@@ -120,8 +120,8 @@ class CtTable:
         return self.interned_date(self.logged_ord[row])
 
     def lookup_row(self, crtsh_id: int) -> int | None:
-        """First row carrying this crt.sh id, in the legacy traversal
-        order (base insertion order, bucket append order)."""
+        """First row carrying this crt.sh id, in bucket traversal order
+        (base insertion order, bucket append order)."""
         index = self._by_crtsh
         if index is None:
             index = {}
@@ -226,7 +226,7 @@ class CtTable:
     def _build_index(self) -> None:
         # Registered domains of each distinct SAN set, one slot per SAN
         # (duplicates preserved — a cert naming two subdomains of one
-        # base lands in that base's bucket twice, like the reference).
+        # base lands in that base's bucket twice).
         bases_of: dict[int, tuple[str, ...]] = {}
         for ident, sans in enumerate(self.san_sets):
             bases: list[str] = []

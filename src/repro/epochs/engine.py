@@ -100,7 +100,6 @@ def merge_inputs(inputs: PipelineInputs, delta: EpochDelta) -> PipelineInputs:
         )
     for rrname, rtype, rdata, day in delta.pdns_observations:
         pdns.add_observation(rrname, rtype, rdata, day)
-    pdns.use_table = inputs.pdns.use_table
 
     return PipelineInputs(
         scan=scan,
@@ -132,15 +131,13 @@ def _merge_crtsh(base: CrtShService, delta: EpochDelta) -> CrtShService:
     registry._entries = dict(base._revocations._entries)
     for fingerprint, on, reason in delta.revocations:
         registry._entries[fingerprint] = RevocationEntry(fingerprint, on, reason)
-    merged = CrtShService(
+    return CrtShService(
         logs,
         registry,
         base._asof,
         publication_delay_days=base._publication_delay.days,
         publication_horizon=base._publication_horizon,
     )
-    merged.use_table = base.use_table
-    return merged
 
 
 def run_epoch(
@@ -170,31 +167,35 @@ def run_epoch(
     The manifest gains an ``epoch`` section, and the run's metrics gain
     ``epoch.domains_dirty`` / ``epoch.domains_reused`` counters (they
     flow into the ledger record and the OpenMetrics exposition like any
-    other counter).
+    other counter).  The two partition ``domains``, the population the
+    deployment stage sweeps after fault degradation: a domain is dirty
+    when this epoch recomputes its deployment encoding and reused when
+    it does not.  The dirty set's rings are reported under ``dirty``.
     """
     config = config or PipelineConfig()
     plan = faults if isinstance(faults, FaultPlan) else FaultPlan.from_spec(faults)
     merged = merge_inputs(inputs, delta)
     dirty = compute_dirty_set(inputs, delta)
+    degraded = apply_faults(merged, plan, DataQuality())
+    n_domains = len(degraded.scan.domains())
+    # Without a cache the executor's sweep recomputes every domain.
+    seeded, reused, recomputed, reason = False, 0, n_domains, None
+    if cache is not None:
+        seeded, reused, recomputed, reason = _seed_deployment(
+            inputs, degraded, dirty, plan, config, cache
+        )
     stats: dict[str, Any] = {
         "epoch": delta.epoch,
         "label": delta.label,
         "delta": delta.counts(),
-        "domains": len(merged.scan.table.domains),
-        "domains_dirty": len(dirty.all_dirty),
-        "domains_reused": 0,
+        "domains": n_domains,
+        "domains_dirty": recomputed,
+        "domains_reused": reused,
         "dirty": dirty.counts(),
         "calendar_changed": dirty.calendar_changed,
-        "seeded": False,
-        "reuse_disabled": None,
+        "seeded": seeded,
+        "reuse_disabled": reason,
     }
-    if cache is not None:
-        seeded, reused, reason = _seed_deployment(
-            inputs, merged, dirty, plan, config, cache
-        )
-        stats["seeded"] = seeded
-        stats["domains_reused"] = reused
-        stats["reuse_disabled"] = reason
 
     pipeline = HijackPipeline(merged, config=config, faults=plan)
     report, metrics = pipeline.profile(
@@ -215,33 +216,36 @@ def run_epoch(
 
 def _seed_deployment(
     base_inputs: PipelineInputs,
-    merged: PipelineInputs,
+    degraded_merged: PipelineInputs,
     dirty: DirtySet,
     plan: FaultPlan,
     config: PipelineConfig,
     cache: StageCache,
-) -> tuple[bool, int, str | None]:
+) -> tuple[bool, int, int, str | None]:
     """Pre-store the merged run's ``deployment_maps`` entry.
 
-    Returns ``(seeded, domains_reused, reuse_disabled_reason)``.  When
-    seeding is unsound (an in-period calendar change) or impossible (no
-    base products banked), it declines and the executor's ordinary full
-    sweep recomputes everything — slower, never wrong.
+    Returns ``(seeded, domains_reused, domains_recomputed,
+    reuse_disabled_reason)``; reused plus recomputed is the swept
+    population on every path.  An entry already banked for the merged
+    run reuses every domain.  When seeding is unsound (an in-period
+    calendar change) or impossible (no base products banked), it
+    declines and the executor's ordinary full sweep recomputes
+    everything — slower, never wrong.
     """
     from repro.cache.fingerprint import derive_run_key, stage_fingerprint
 
     stage = build_stages()[0]
     chain = [(stage.name, stage.cache_version, stage.config_deps)]
-    degraded_merged = apply_faults(merged, plan, DataQuality())
+    merged_domains = degraded_merged.scan.domains()
     merged_fp = stage_fingerprint(
         derive_run_key(degraded_merged, plan, config), chain
     )
     if cache.get(merged_fp) is not None:
-        return False, 0, "already-cached"
+        return False, len(merged_domains), 0, "already-cached"
     if dirty.calendar_changed:
         # Every encoding embeds per-period scan-calendar indices; an
         # in-period date shifts them all, so nothing is reusable.
-        return False, 0, "calendar-changed"
+        return False, 0, len(merged_domains), "calendar-changed"
 
     degraded_base = apply_faults(base_inputs, plan, DataQuality())
     base_fp = stage_fingerprint(
@@ -253,14 +257,13 @@ def _seed_deployment(
         degraded_base.scan.table.domain_index,
     )
     if base_encoded is None:
-        return False, 0, "no-base-products"
+        return False, 0, len(merged_domains), "no-base-products"
 
     from repro.core.deployment import encode_domain_maps
 
     scan_direct = dirty.scan_direct
-    periods = merged.periods
+    periods = degraded_merged.periods
     max_gap = config.max_gap_scans
-    merged_domains = degraded_merged.scan.domains()
     n_base = len(base_domains)
     spliced: list[tuple[str, Any]] = []
     reused = 0
@@ -323,14 +326,13 @@ def _seed_deployment(
             n_out=len(spliced),
             detail={
                 "domains_mapped": len(spliced),
-                "epoch_domains_dirty": len(dirty.all_dirty),
                 "epoch_domains_reused": reused,
                 "epoch_domains_recomputed": recomputed,
             },
         ),
         {"encoded_maps": spliced},
     )
-    return True, reused, None
+    return True, reused, recomputed, None
 
 
 def _base_products(

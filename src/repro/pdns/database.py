@@ -8,7 +8,7 @@ from datetime import date, timedelta
 from typing import TYPE_CHECKING
 
 from repro.dns.records import RRType
-from repro.net.names import public_suffix, registered_domain
+from repro.net.names import registered_domain
 from repro.net.timeline import DateInterval
 
 if TYPE_CHECKING:
@@ -35,18 +35,18 @@ class PdnsRecord:
 
 
 class PassiveDNSDatabase:
-    """Aggregation + query API over sensor observations."""
+    """Aggregation + query API over sensor observations.
+
+    Observations fold into an aggregate dict; every query is answered
+    from the columnar :class:`~repro.pdns.table.PdnsTable` view of it.
+    """
 
     def __init__(self) -> None:
-        # (rrname, rtype, rdata) -> [first_seen, last_seen, count].
-        # ``None`` marks a table-backed database whose row dicts have
-        # not been hydrated yet (see :meth:`from_table`).
+        # (rrname, rtype, rdata) -> [first_seen, last_seen, count], the
+        # aggregate that add_observation folds into.  ``None`` marks a
+        # table-backed database whose dict has not been hydrated yet
+        # (see :meth:`from_table`).
         self._rows: dict[tuple[str, RRType, str], list] | None = {}
-        self._by_name: dict[str, set[tuple[str, RRType, str]]] = {}
-        self._by_rdata: dict[str, set[tuple[str, RRType, str]]] = {}
-        #: Columnar query path toggle; the linear reference stays behind
-        #: it for the differential suites and perf baselines.
-        self.use_table = True
         self._version = 0
         self._table: PdnsTable | None = None
         self._table_version = -1
@@ -57,8 +57,8 @@ class PassiveDNSDatabase:
 
         The table's row stream must already be canonical — written from
         :meth:`all_records` order — which every segment writer preserves.
-        Row dicts hydrate lazily, only if a linear/pivot query or a
-        derivation actually needs them.
+        The aggregate dict hydrates lazily, only if new observations fold
+        in or a derivation (:meth:`without_windows`) needs it.
         """
         database = cls()
         database._table = table
@@ -67,19 +67,17 @@ class PassiveDNSDatabase:
         return database
 
     def _ensure_rows(self) -> None:
-        """Hydrate the row dicts of a table-backed database on demand."""
+        """Hydrate the aggregate dict of a table-backed database."""
         if self._rows is not None:
             return
         table = self._table
         assert table is not None
-        rows: dict[tuple[str, RRType, str], list] = {}
-        for row in range(len(table)):
-            record = table.record(row)
-            key = (record.rrname, record.rtype, record.rdata)
-            rows[key] = [record.first_seen, record.last_seen, record.count]
-            self._by_name.setdefault(record.rrname, set()).add(key)
-            self._by_rdata.setdefault(record.rdata, set()).add(key)
-        self._rows = rows
+        self._rows = {
+            (record.rrname, record.rtype, record.rdata): [
+                record.first_seen, record.last_seen, record.count
+            ]
+            for record in map(table.record, range(len(table)))
+        }
 
     @property
     def table(self) -> PdnsTable:
@@ -107,8 +105,6 @@ class PassiveDNSDatabase:
         row = self._rows.get(key)
         if row is None:
             self._rows[key] = [day, day, 1]
-            self._by_name.setdefault(rrname, set()).add(key)
-            self._by_rdata.setdefault(rdata, set()).add(key)
         else:
             if day < row[0]:
                 row[0] = day
@@ -128,74 +124,20 @@ class PassiveDNSDatabase:
         rtype: RRType | None = None,
         window: DateInterval | None = None,
     ) -> list[PdnsRecord]:
-        """All aggregated rows for an exact rrname."""
-        rrname = rrname.lower().rstrip(".")
-        if self.use_table:
-            table = self.table
-            return [
-                table.record(row)
-                for row in table.query_name_rows(rrname, rtype, window)
-            ]
-        return self._query_name_linear(rrname, rtype, window)
-
-    def _query_name_linear(
-        self,
-        rrname: str,
-        rtype: RRType | None = None,
-        window: DateInterval | None = None,
-    ) -> list[PdnsRecord]:
-        """Row-at-a-time reference for :meth:`query_name` (pre-lowered)."""
-        self._ensure_rows()
-        records = [self._materialize(k) for k in self._by_name.get(rrname, ())]
-        if rtype is not None:
-            records = [r for r in records if r.rtype is rtype]
-        if window is not None:
-            records = [r for r in records if r.overlaps(window)]
-        records.sort(key=lambda r: (r.first_seen, r.rdata))
-        return records
+        """All aggregated rows for an exact rrname, sorted
+        ``(first_seen, rdata)``."""
+        table = self.table
+        rows = table.query_name_rows(rrname.lower().rstrip("."), rtype, window)
+        return [table.record(row) for row in rows]
 
     def query_domain(
         self, domain: str, window: DateInterval | None = None
     ) -> list[PdnsRecord]:
-        """All rows for any rrname under the registered domain."""
-        base = registered_domain(domain)
-        # The CSR index buckets by each rrname's registered domain, which
-        # only matches plain suffix semantics when the queried base is a
-        # registrable domain itself; a bare public suffix falls back to
-        # the linear reference.
-        if not self.use_table or public_suffix(base) == base:
-            return self._query_domain_linear(base, window)
+        """All rows for any rrname under the registered domain, sorted
+        ``(rrname, first_seen, rdata)``."""
         table = self.table
-        rows = table.query_domain_rows(base, window)
-        if table.irregular_rows:
-            # Owner names the bucketing could not place (no parseable
-            # registered domain) still suffix-match the legacy way.
-            suffix = "." + base
-            extra = [
-                row
-                for row in table._window_filter(table.irregular_rows, window)
-                if table.rrnames[table.rrname_id[row]] == base
-                or table.rrnames[table.rrname_id[row]].endswith(suffix)
-            ]
-            if extra:
-                records = [table.record(row) for row in rows + extra]
-                records.sort(key=lambda r: (r.rrname, r.first_seen, r.rdata))
-                return records
+        rows = table.query_domain_rows(registered_domain(domain), window)
         return [table.record(row) for row in rows]
-
-    def _query_domain_linear(
-        self, base: str, window: DateInterval | None = None
-    ) -> list[PdnsRecord]:
-        """Row-at-a-time reference for :meth:`query_domain`."""
-        self._ensure_rows()
-        records: list[PdnsRecord] = []
-        for rrname, keys in self._by_name.items():
-            if rrname == base or rrname.endswith("." + base):
-                records.extend(self._materialize(k) for k in keys)
-        if window is not None:
-            records = [r for r in records if r.overlaps(window)]
-        records.sort(key=lambda r: (r.rrname, r.first_seen, r.rdata))
-        return records
 
     def a_history(self, fqdn: str, window: DateInterval | None = None) -> list[PdnsRecord]:
         return self.query_name(fqdn, RRType.A, window)
@@ -209,19 +151,18 @@ class PassiveDNSDatabase:
     def query_rdata(
         self, rdata: str, rtype: RRType | None = None, window: DateInterval | None = None
     ) -> list[PdnsRecord]:
-        """All rows whose rdata equals ``rdata`` (IP or NS hostname)."""
-        rdata_key = rdata.lower().rstrip(".")
-        self._ensure_rows()
-        keys = set(self._by_rdata.get(rdata_key, ()))
+        """All rows whose rdata equals ``rdata`` (IP or NS hostname),
+        sorted ``(rrname, first_seen)``.
+
+        NS rdata is stored lowercased and dot-stripped, so the query
+        matches that form for every rtype and, for any rtype other than
+        NS, the verbatim value as well.
+        """
+        values = {rdata.lower().rstrip(".")}
         if rtype is not RRType.NS:
-            keys |= self._by_rdata.get(rdata, set())
-        records = [self._materialize(k) for k in keys]
-        if rtype is not None:
-            records = [r for r in records if r.rtype is rtype]
-        if window is not None:
-            records = [r for r in records if r.overlaps(window)]
-        records.sort(key=lambda r: (r.rrname, r.first_seen))
-        return records
+            values.add(rdata)
+        table = self.table
+        return [table.record(row) for row in table.query_rdata_rows(values, rtype, window)]
 
     def domains_resolving_to(self, ip: str, window: DateInterval | None = None) -> set[str]:
         """Registered domains with any name that resolved to ``ip``."""
@@ -238,12 +179,9 @@ class PassiveDNSDatabase:
         }
 
     def _insert_row(self, key: tuple[str, RRType, str], first: date, last: date, count: int) -> None:
-        """Install one aggregated row directly, maintaining the indexes."""
-        rrname, _rtype, rdata = key
+        """Install one aggregated row directly."""
         self._version += 1
         self._rows[key] = [first, last, count]
-        self._by_name.setdefault(rrname, set()).add(key)
-        self._by_rdata.setdefault(rdata, set()).add(key)
 
     def without_windows(self, blackouts: list[DateInterval]) -> PassiveDNSDatabase:
         """Derive the database a sensor network dark during ``blackouts``

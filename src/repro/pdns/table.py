@@ -7,20 +7,22 @@ for that channel: one typed-array column per field (first/last-seen
 ordinals, observation counts, an rrtype code) plus first-seen-order
 interned pools for the repeated strings (owner names, rdata), so pool
 ids are a pure function of the row stream and safe to reference from
-cache entries and worker results.
+cache entries and worker results.  It is the only query path behind
+:class:`~repro.pdns.database.PassiveDNSDatabase`.
 
 Two CSR-style indexes sit on top of the columns:
 
 * a per-owner-name index (``a_history``/``ns_history`` lookups), each
   name's rows pre-sorted by ``(first_seen, rdata, rrtype)``;
 * a per-registered-domain index (``query_domain`` suffix walks), each
-  base's rows pre-sorted by ``(rrname, first_seen, rdata, rrtype)`` —
-  the exact order the row-at-a-time reference produces.
+  base's rows pre-sorted by ``(rrname, first_seen, rdata, rrtype)``.
 
 Owner names that have no well-formed registered domain (so the suffix
-bucketing cannot place them) are kept aside in ``irregular_rows`` and
-linearly merged by the database front door, preserving the legacy
-suffix-match semantics byte for byte.
+bucketing cannot place them) are kept aside in ``irregular_rows``.  A
+suffix query that one of them matches, or whose base is a bare public
+suffix (spanning many registered domains), walks the sorted owner-name
+pool instead — same rows, same order.  The pivot's inverse lookups go
+through an rdata → rows index built on first use.
 
 Rows are materialized back into :class:`~repro.pdns.database.PdnsRecord`
 dataclasses lazily and memoized, so repeated inspection queries touch
@@ -34,7 +36,7 @@ from datetime import date
 from typing import TYPE_CHECKING, Iterable
 
 from repro.dns.records import RRType
-from repro.net.names import registered_domain
+from repro.net.names import public_suffix, registered_domain
 from repro.scan.table import _Interner
 
 if TYPE_CHECKING:
@@ -78,14 +80,15 @@ class PdnsTable:
         self.domains: tuple[str, ...] = ()
         self.dom_rows = array("I")
         self.dom_off = array("I", [0])
-        #: Rows whose owner name has no parseable registered domain; the
-        #: database merges these linearly into suffix queries.
+        #: Rows whose owner name has no parseable registered domain;
+        #: suffix queries they match walk the name pool instead.
         self.irregular_rows: tuple[int, ...] = ()
         # -- lazy decode state (never pickled) -------------------------------
         self._name_index: dict[str, int] = {}
         self._dom_index: dict[str, int] = {}
         self._rec_cache: list[PdnsRecord | None] = []
         self._row_index: dict[tuple[str, RRType, str], int] | None = None
+        self._rdata_index: dict[str, list[int]] | None = None
         self._date_cache: dict[int, date] = {}
 
     # -- construction --------------------------------------------------------
@@ -147,7 +150,7 @@ class PdnsTable:
             self._row_index = index
         return index[(rrname, rtype, rdata)]
 
-    # -- query kernels (row ids, pre-sorted like the legacy reference) -------
+    # -- query kernels (row ids, in each query's documented order) -----------
 
     def _window_filter(
         self, rows: Iterable[int], window: DateInterval | None
@@ -184,13 +187,62 @@ class PdnsTable:
     def query_domain_rows(
         self, base: str, window: DateInterval | None = None
     ) -> list[int]:
-        """Rows under one registered domain (regular owner names only),
-        sorted ``(rrname, first_seen, rdata)``."""
-        index = self._dom_index.get(base)
+        """Rows for every owner name equal to or under ``base`` (a
+        registered domain or a bare public suffix), sorted
+        ``(rrname, first_seen, rdata)``."""
+        suffix = "." + base
+        rrnames, rrname_id = self.rrnames, self.rrname_id
+        if public_suffix(base) != base and not any(
+            rrnames[rrname_id[row]] == base or rrnames[rrname_id[row]].endswith(suffix)
+            for row in self.irregular_rows
+        ):
+            index = self._dom_index.get(base)
+            if index is None:
+                return []
+            lo, hi = self.dom_off[index], self.dom_off[index + 1]
+            return self._window_filter(self.dom_rows[lo:hi], window)
+        # A bare public suffix spans many registered-domain buckets, and
+        # an irregular owner name sits in none: walk the sorted name pool,
+        # whose per-name buckets concatenate in the same order.
+        rows: list[int] = []
+        for index, name in enumerate(self.names):
+            if name == base or name.endswith(suffix):
+                rows.extend(self.name_rows[self.name_off[index]:self.name_off[index + 1]])
+        return self._window_filter(rows, window)
+
+    def query_rdata_rows(
+        self,
+        values: Iterable[str],
+        rtype: RRType | None = None,
+        window: DateInterval | None = None,
+    ) -> list[int]:
+        """Rows whose rdata is any of ``values``, sorted
+        ``(rrname, first_seen, rdata, rrtype)``."""
+        index = self._rdata_index
         if index is None:
-            return []
-        lo, hi = self.dom_off[index], self.dom_off[index + 1]
-        return self._window_filter(self.dom_rows[lo:hi], window)
+            # Built on the first inverse (pivot) lookup; forward queries
+            # never pay for it.
+            by_id: dict[int, list[int]] = {}
+            for row, ident in enumerate(self.rdata_id):
+                by_id.setdefault(ident, []).append(row)
+            rdatas = self.rdatas
+            index = {rdatas[ident]: bucket for ident, bucket in by_id.items()}
+            self._rdata_index = index
+        rows = [row for value in values for row in index.get(value, ())]
+        if rtype is not None:
+            code = _RT_CODE[rtype]
+            rtypes = self.rtype_code
+            rows = [row for row in rows if rtypes[row] == code]
+        rows = self._window_filter(rows, window)
+        rrnames, rrname_id = self.rrnames, self.rrname_id
+        rdatas, rdata_id = self.rdatas, self.rdata_id
+        first, rtypes = self.first_ord, self.rtype_code
+        rows.sort(
+            key=lambda r: (
+                rrnames[rrname_id[r]], first[r], rdatas[rdata_id[r]], rtypes[r]
+            )
+        )
+        return rows
 
     # -- canonical walks -----------------------------------------------------
 
@@ -338,6 +390,7 @@ class PdnsTable:
         state["_dom_index"] = None
         state["_rec_cache"] = None
         state["_row_index"] = None
+        state["_rdata_index"] = None
         state["_date_cache"] = None
         return state
 
@@ -347,6 +400,7 @@ class PdnsTable:
         self._dom_index = {base: i for i, base in enumerate(self.domains)}
         self._rec_cache = [None] * len(self.first_ord)
         self._row_index = None
+        self._rdata_index = None
         self._date_cache = {}
 
 

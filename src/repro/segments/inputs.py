@@ -14,8 +14,8 @@ bundle into one directory of ``repro-segment/1`` files::
 ``load_segment_inputs`` reopens the directory as a bundle whose three
 evidence channels are mmap-backed: the scan dataset wraps a
 :class:`~repro.segments.tables.SegmentScanTable`, the pDNS database a
-:class:`~repro.segments.tables.SegmentPdnsTable` (row dicts hydrate only
-if a pivot query needs them), and crt.sh a :class:`SegmentCrtShService`
+:class:`~repro.segments.tables.SegmentPdnsTable` (its aggregate dict
+hydrates only if a derivation needs it), and crt.sh a :class:`SegmentCrtShService`
 that answers every query from the mapped table without touching the
 pickled logs.  Content digests are unchanged — a segment-backed bundle
 and its in-RAM twin produce the same ``inputs_digest``, so they share

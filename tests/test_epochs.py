@@ -314,6 +314,22 @@ class TestMergeInputs:
         assert encode_report(report) == _cold_text(world, delta)
 
 
+def _assert_partition(metrics, population: int) -> None:
+    """Dirty plus reused is the population the deployment stage swept."""
+    epoch = metrics.epoch
+    assert epoch["domains"] == population
+    assert metrics.stages[0].name == "deployment_maps"
+    assert metrics.stages[0].n_in == population
+    assert epoch["domains_dirty"] + epoch["domains_reused"] == population
+    assert metrics.metrics["epoch.domains_dirty"] == epoch["domains_dirty"]
+    assert metrics.metrics["epoch.domains_reused"] == epoch["domains_reused"]
+
+
+def _population(world, delta, faults=None) -> int:
+    plan = FaultPlan.from_spec(faults)
+    return len(apply_faults(merge_inputs(world, delta), plan, DataQuality()).scan.domains())
+
+
 class TestRunEpoch:
     def test_no_cache_is_a_cold_merged_run(self):
         world = _world()
@@ -322,8 +338,11 @@ class TestRunEpoch:
         assert encode_report(report) == _cold_text(world, delta)
         assert metrics.epoch["epoch"] == delta.epoch
         assert metrics.epoch["seeded"] is False
-        assert metrics.epoch["domains_dirty"] == len(dirty.all_dirty)
-        assert metrics.metrics["epoch.domains_dirty"] == len(dirty.all_dirty)
+        # Without a cache the sweep recomputes every domain.
+        assert metrics.epoch["domains_dirty"] == _population(world, delta)
+        assert metrics.epoch["domains_reused"] == 0
+        _assert_partition(metrics, _population(world, delta))
+        assert metrics.epoch["dirty"] == dirty.counts()
 
     def test_seeded_warm_cache_reuses_clean_domains(self, tmp_path):
         world = _world()
@@ -337,9 +356,13 @@ class TestRunEpoch:
         reused = metrics.epoch["domains_reused"]
         assert reused > 0
         assert reused + len(dirty.scan_direct) >= len(world.scan.domains())
+        # Only the scan-direct ring gates reuse: exactly its merged
+        # domains were re-encoded.
+        merged_domains = set(merge_inputs(world, delta).scan.domains())
+        assert metrics.epoch["domains_dirty"] == len(dirty.scan_direct & merged_domains)
+        _assert_partition(metrics, _population(world, delta))
         # The pipeline's own sweep became a cache hit.
         assert metrics.stages[0].cached is True
-        assert metrics.metrics["epoch.domains_reused"] == reused
 
     def test_cold_cache_declines_but_stays_identical(self, tmp_path):
         world = _world()
@@ -348,10 +371,15 @@ class TestRunEpoch:
         report, metrics, _dirty = run_epoch(world, delta, cache=cache)
         assert metrics.epoch["seeded"] is False
         assert metrics.epoch["reuse_disabled"] == "no-base-products"
+        assert metrics.epoch["domains_reused"] == 0
+        _assert_partition(metrics, _population(world, delta))
         assert encode_report(report) == _cold_text(world, delta)
-        # The merged entry is banked now: a re-run is simply a hit.
+        # The merged entry is banked now: a re-run is simply a hit, and
+        # recomputes nothing.
         report, metrics, _dirty = run_epoch(world, delta, cache=cache)
         assert metrics.epoch["reuse_disabled"] == "already-cached"
+        assert metrics.epoch["domains_dirty"] == 0
+        _assert_partition(metrics, _population(world, delta))
         assert encode_report(report) == _cold_text(world, delta)
 
     def test_in_period_calendar_change_declines_seeding(self, tmp_path):
@@ -365,6 +393,8 @@ class TestRunEpoch:
         assert dirty.calendar_changed
         assert metrics.epoch["seeded"] is False
         assert metrics.epoch["reuse_disabled"] == "calendar-changed"
+        assert metrics.epoch["domains_reused"] == 0
+        _assert_partition(metrics, _population(world, delta))
         assert encode_report(report) == _cold_text(world, delta)
 
     def test_faulted_epoch_is_identical(self, tmp_path):
@@ -375,6 +405,7 @@ class TestRunEpoch:
         HijackPipeline(world, faults=spec).profile(cache=cache)
         report, metrics, _dirty = run_epoch(world, delta, faults=spec, cache=cache)
         assert metrics.epoch["seeded"] is True
+        _assert_partition(metrics, _population(world, delta, faults=spec))
         assert encode_report(report) == _cold_text(world, delta, faults=spec)
 
     @pytest.mark.parametrize(
@@ -433,6 +464,7 @@ class TestRunEpoch:
             manifest.record(base_fp, "deployment", n, n_shards, ordinal, key)
         report, metrics, _dirty = run_epoch(world, delta, cache=cache)
         assert metrics.epoch["seeded"] is True
+        _assert_partition(metrics, _population(world, delta))
         reused = metrics.epoch["domains_reused"]
         # The hole's quarter recomputes; the three banked shards reuse.
         assert 0 < reused <= n - (hole + 1) * n // n_shards + hole * n // n_shards

@@ -1,15 +1,15 @@
 """Kernel-vs-reference differentials for funnel stages 2–4 + assembly.
 
-The rewritten stages compute in interned-id space — ``classify_encoded``
+The pipeline's stages compute in interned-id space — ``classify_encoded``
 over the deployment wire form, bisect row slices for shortlist evidence,
 encoded inspection results decoded against the parent tables, and the
 assemble stage's precomputed victim-infrastructure index.  Each test
-re-derives one stage's product with the retained row-at-a-time reference
+re-derives one stage's product with a row-at-a-time reference
 (object-graph ``classify``, the datasetless ``Shortlister``, an
-``Inspector`` over ``use_table = False`` stores, the single-domain
-``_victim_infra`` walk) on randomized paper worlds across seeds, and
-requires identity — verdicts, evidence, provenance trails, and the
-fault runs' DataQuality ledgers alike.
+``Inspector`` over the test-only linear pDNS and per-SAN CT models, a
+per-domain rescan of the classification table) on randomized paper
+worlds across seeds, and requires identity — verdicts, evidence,
+provenance trails, and the fault runs' DataQuality ledgers alike.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ import pytest
 from repro.cache import StageCache
 from repro.core.inspection import Inspector, decode_inspection, encode_inspection
 from repro.core.patterns import classify
-from repro.core.pipeline import HijackPipeline, _FindingBuilder
+from repro.core.pipeline import HijackPipeline
 from repro.core.shortlist import Shortlister
 from repro.core.types import Verdict
 from repro.exec import ProcessPoolBackend, SerialBackend
-from repro.io.reports import finding_to_row
 from repro.world.scenarios import paper_study
+from tests.reference import ReferenceCrtSh, ReferencePdns, victim_infra
 
 SEEDS = (3, 7, 21)
 BACKGROUND = 12
@@ -81,27 +81,25 @@ def test_shortlist_columnar_matches_reference(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_inspection_wire_form_matches_reference(seed):
     """Stage 4: the encoded worker results, decoded against the parent
-    tables, equal an Inspector run over the legacy (use_table=False)
-    pDNS index and CT per-base lists — including the T1* second pass."""
+    tables, equal an Inspector run over the linear pDNS model and the
+    per-SAN CT list index — including the T1* second pass."""
     pipeline, report = _run(seed)
     inputs = pipeline.inputs
-    inputs.pdns.use_table = False
-    inputs.crtsh.use_table = False
-    try:
-        inspector = Inspector(inputs.pdns, inputs.crtsh, pipeline.config.inspection)
-        reference = inspector.inspect_many(report.shortlist)
-        confirmed = {
-            ip
-            for r in reference
-            if r.verdict is Verdict.HIJACKED
-            for ip in r.attacker_ips
-        }
-        if pipeline.config.enable_t1_star:
-            pending = [r for r in reference if r.pending_t1_star]
-            Inspector.resolve_t1_star(pending, frozenset(confirmed))
-    finally:
-        inputs.pdns.use_table = True
-        inputs.crtsh.use_table = True
+    inspector = Inspector(
+        ReferencePdns.from_records(inputs.pdns.all_records()),
+        ReferenceCrtSh.from_service(inputs.crtsh),
+        pipeline.config.inspection,
+    )
+    reference = inspector.inspect_many(report.shortlist)
+    confirmed = {
+        ip
+        for r in reference
+        if r.verdict is Verdict.HIJACKED
+        for ip in r.attacker_ips
+    }
+    if pipeline.config.enable_t1_star:
+        pending = [r for r in reference if r.pending_t1_star]
+        Inspector.resolve_t1_star(pending, frozenset(confirmed))
     assert report.inspections == reference
 
 
@@ -116,30 +114,22 @@ def test_inspection_encode_decode_round_trips(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_assemble_matches_reference_builder(seed):
-    """Assembly: findings built with the precomputed victim-infra index
-    equal the reference builder's (per-domain table rescans), provenance
-    trails included, row for row."""
+    """Assembly: every finding's victim infrastructure, taken from the
+    precomputed index, equals a per-domain rescan of the classification
+    table, and the findings are ordered by it."""
     pipeline, report = _run(seed)
-    builder = _FindingBuilder(pipeline.inputs)  # no precompute: reference
-    reference = []
-    seen: set[str] = set()
-    for result in report.inspections:
-        if result.verdict in (Verdict.HIJACKED, Verdict.TARGETED):
-            if result.domain in seen:
-                continue
-            reference.append(builder.from_inspection(result, report.classifications))
-            seen.add(result.domain)
-    for pivot in report.pivots:
-        if pivot.domain in seen:
-            continue
-        reference.append(builder.from_pivot(pivot, report.classifications))
-        seen.add(pivot.domain)
-    reference.sort(
-        key=lambda f: ((f.victim_ccs[0] if f.victim_ccs else "zz"), f.domain)
-    )
-    assert [finding_to_row(f) for f in report.findings] == [
-        finding_to_row(f) for f in reference
+    assert report.findings
+    infra = {
+        f.domain: victim_infra(report.classifications, f.domain)
+        for f in report.findings
+    }
+    assert [(f.victim_asns, f.victim_ccs) for f in report.findings] == [
+        infra[f.domain] for f in report.findings
     ]
+    keys = [
+        ((infra[f.domain][1] or ("zz",))[0], f.domain) for f in report.findings
+    ]
+    assert keys == sorted(keys)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:2])

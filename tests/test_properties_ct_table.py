@@ -1,13 +1,13 @@
-"""Differential property tests: columnar CT table vs the row path.
+"""Differential property tests: columnar CT table vs a per-SAN list index.
 
 Arbitrary submission histories — certificates with single, multi-base,
 duplicate-base, and wildcard SAN sets, spread across multiple logs with
 arbitrary timestamps — are indexed twice: through the
-:class:`~repro.ct.table.CtTable` bisect kernels and through
-:class:`~repro.ct.crtsh.CrtShService`'s original per-base list index
-(``use_table = False``).  Every search the inspection stage issues must
-answer identically, including ordering and the legacy per-SAN bucket
-duplication.  The suite also pins the publication-delay/horizon filter,
+:class:`~repro.ct.table.CtTable` bisect kernels behind
+:class:`~repro.ct.crtsh.CrtShService` and through the test-only per-base
+list index (:class:`tests.reference.ReferenceCrtSh`).  Every search the
+inspection stage issues must answer identically, including ordering and
+the per-SAN bucket duplication.  The suite also pins the publication-delay/horizon filter,
 the io round-trip, the ``select()`` re-interning invariant, and the
 ``(fingerprint, logged ordinal)`` wire references' stability across log
 insertion orders.
@@ -24,10 +24,11 @@ from repro.ct.table import CtTable
 from repro.io.intel import load_ct, save_ct
 from repro.tls.certificate import Certificate
 from repro.tls.revocation import RevocationRegistry
+from tests.reference import ReferenceCrtSh
 
 BASE = date(2019, 1, 1)
 
-#: SAN sets covering one base, two names under one base (the legacy
+#: SAN sets covering one base, two names under one base (the per-SAN
 #: index appends such a row to that base's bucket twice), two distinct
 #: bases, and a wildcard.
 SAN_SETS = (
@@ -78,11 +79,8 @@ def _logs_from(history) -> list[CTLog]:
     return logs
 
 
-def _services(logs) -> tuple[CrtShService, CrtShService]:
-    columnar = CrtShService(logs, RevocationRegistry())
-    legacy = CrtShService(logs, RevocationRegistry())
-    legacy.use_table = False
-    return columnar, legacy
+def _services(logs) -> tuple[CrtShService, ReferenceCrtSh]:
+    return CrtShService(logs, RevocationRegistry()), ReferenceCrtSh(logs, RevocationRegistry())
 
 
 def _keyed(entries):
@@ -107,7 +105,7 @@ class TestSearchEquivalence:
     @given(_history, _window)
     def test_search_matches_legacy_index(self, history, window):
         logs = _logs_from(history)
-        columnar, legacy = _services(logs)
+        columnar, model = _services(logs)
         after = before = None
         if window is not None:
             lo, hi = window
@@ -115,25 +113,25 @@ class TestSearchEquivalence:
             before = BASE + timedelta(days=max(lo, hi))
         for query in QUERIES:
             assert _keyed(columnar.search(query, after, before)) == _keyed(
-                legacy.search(query, after, before)
+                model.search(query, after, before)
             )
             assert _keyed(columnar.search_exact(query, after, before)) == _keyed(
-                legacy.search_exact(query, after, before)
+                model.search_exact(query, after, before)
             )
 
     @settings(max_examples=50, deadline=None)
     @given(_history)
     def test_lookup_id_matches_legacy_index(self, history):
         logs = _logs_from(history)
-        columnar, legacy = _services(logs)
+        columnar, model = _services(logs)
         ids = [e.certificate.crtsh_id for log in logs for e in log.entries()]
         for crtsh_id in (*ids, 424242):
             via_table = columnar.lookup_id(crtsh_id)
-            via_legacy = legacy.lookup_id(crtsh_id)
-            if via_legacy is None:
+            via_model = model.lookup_id(crtsh_id)
+            if via_model is None:
                 assert via_table is None
             else:
-                assert _keyed([via_table]) == _keyed([via_legacy])
+                assert _keyed([via_table]) == _keyed([via_model])
 
     @settings(max_examples=30, deadline=None)
     @given(_history, st.integers(min_value=0, max_value=30))
@@ -141,13 +139,15 @@ class TestSearchEquivalence:
         """Delay + horizon filtering hides the same entries either way."""
         logs = _logs_from(history)
         horizon = BASE + timedelta(days=60)
-        columnar, legacy = _services(logs)
+        columnar, _ = _services(logs)
         delayed_columnar = columnar.with_publication_delay(delay, horizon)
-        delayed_legacy = legacy.with_publication_delay(delay, horizon)
-        assert delayed_columnar.hidden_entries == delayed_legacy.hidden_entries
+        delayed_model = ReferenceCrtSh(
+            logs, RevocationRegistry(), delay_days=delay, horizon=horizon
+        )
+        assert delayed_columnar.hidden_entries == delayed_model.hidden_entries
         for query in QUERIES:
             assert _keyed(delayed_columnar.search(query)) == _keyed(
-                delayed_legacy.search(query)
+                delayed_model.search(query)
             )
 
 

@@ -1,15 +1,17 @@
-"""Differential property tests: columnar pDNS table vs the row path.
+"""Differential property tests: columnar pDNS table vs a linear model.
 
 Arbitrary observation histories — several rrnames across registered
 domains (including a multi-label co.uk suffix and an irregular,
-unparsable owner name), all record types, overlapping date spans — are
-aggregated into a :class:`PassiveDNSDatabase`, and every query the
-inspection stage makes is answered twice: through the
-:class:`~repro.pdns.table.PdnsTable` CSR kernels and through the
-original linear reference implementations.  The answers must be
-identical, including ordering.  The suite also pins the io round-trip
-and the ``select()`` re-interning invariant (a degraded view's ids equal
-a fresh build's) that make table row ids safe cache currency.
+unparsable owner name), all record types, mixed-case and trailing-dot
+rdata, overlapping date spans — are aggregated twice: into a
+:class:`PassiveDNSDatabase`, whose queries run on the
+:class:`~repro.pdns.table.PdnsTable` kernels, and into the test-only
+linear model (:class:`tests.reference.ReferencePdns`).  Every query the
+inspection and pivot stages make — forward, suffix and inverse — must
+return the model's rows in the documented order.  The suite also pins
+the io round-trip and the ``select()`` re-interning invariant (a
+degraded view's ids equal a fresh build's) that make table row ids safe
+cache currency.
 """
 
 from datetime import date, timedelta
@@ -22,13 +24,15 @@ from repro.io.datasets import load_pdns, save_pdns
 from repro.net.timeline import DateInterval
 from repro.pdns.database import PassiveDNSDatabase
 from repro.pdns.table import PdnsTable
+from tests.reference import ReferencePdns
 
 BASE = date(2019, 1, 1)
 
 #: Owner names spanning the tricky cases: plain subdomains, an apex, a
-#: multi-label public suffix (beta.co.uk), and an irregular name whose
-#: registered domain is unparsable (empty label) — the linear path
-#: happily aggregates it, so the table must answer for it too.
+#: multi-label public suffix (beta.co.uk), and irregular names whose
+#: registered domain is unparsable (empty label) — the linear model
+#: happily aggregates them, so the table must answer for them too, in
+#: suffix queries on a regular base as well.
 RRNAMES = (
     "www.alpha.com",
     "ns1.alpha.com",
@@ -36,9 +40,12 @@ RRNAMES = (
     "login.beta.co.uk",
     "beta.co.uk",
     "bad..name",
+    "mail..alpha.com",
 )
 RTYPES = (RRType.A, RRType.NS, RRType.CNAME)
-RDATA = ("10.0.0.1", "10.0.0.2", "ns.evil.net", "ns.good.org")
+#: Stored verbatim for every rtype but NS, which folds case and the
+#: trailing dot — so the mixed-case value is stored in two forms.
+RDATA = ("10.0.0.1", "10.0.0.2", "ns.evil.net", "ns.good.org", "Alias.Mixed.ORG.")
 
 # One observation run: (rrname, rtype, rdata, first day index, span).
 _observation = st.tuples(
@@ -59,8 +66,8 @@ _window = st.one_of(
 )
 
 
-def _database_from(history) -> PassiveDNSDatabase:
-    db = PassiveDNSDatabase()
+def _database_from(history, db=None):
+    db = PassiveDNSDatabase() if db is None else db
     for name_sel, rtype_sel, rdata_sel, start, span in history:
         day = BASE + timedelta(days=start)
         db.add_observation(RRNAMES[name_sel], RTYPES[rtype_sel], RDATA[rdata_sel], day)
@@ -71,6 +78,10 @@ def _database_from(history) -> PassiveDNSDatabase:
             day + timedelta(days=span),
         )
     return db
+
+
+def _model_from(history) -> ReferencePdns:
+    return _database_from(history, ReferencePdns())
 
 
 def _interval(window) -> DateInterval | None:
@@ -90,70 +101,103 @@ def _keyed(records):
     ]
 
 
+def _assert_same_rows(got, want, sort_key):
+    """Multiset-equal rows (the model leaves ties in insertion order),
+    with ``got`` ordered by the documented sort key."""
+    assert sorted(map(repr, _keyed(got))) == sorted(map(repr, _keyed(want)))
+    keys = [sort_key(r) for r in got]
+    assert keys == sorted(keys)
+
+
+def _by_first_rdata(r):
+    return (r.first_seen, r.rdata)
+
+
+def _by_name_first_rdata(r):
+    return (r.rrname, r.first_seen, r.rdata)
+
+
+def _by_name_first(r):
+    return (r.rrname, r.first_seen)
+
+
 class TestQueryEquivalence:
     @settings(max_examples=50, deadline=None)
     @given(_history, _window)
     def test_query_name_matches_linear(self, history, window):
-        """Same rows either way, and the table's order satisfies the
-        documented ``(first_seen, rdata)`` sort.  The linear reference
-        leaves cross-rtype ties in set-iteration order, so tie order is
-        compared as a multiset, not positionally."""
-        db = _database_from(history)
+        """Same rows as the model, in ``(first_seen, rdata)`` order."""
+        db, model = _database_from(history), _model_from(history)
         interval = _interval(window)
         for rrname in RRNAMES:
             for rtype in (None, *RTYPES):
-                via_table = _keyed(db.query_name(rrname, rtype, interval))
-                via_linear = _keyed(
-                    db._query_name_linear(rrname.lower(), rtype, interval)
+                _assert_same_rows(
+                    db.query_name(rrname, rtype, interval),
+                    model.query_name(rrname, rtype, interval),
+                    _by_first_rdata,
                 )
-                assert sorted(map(repr, via_table)) == sorted(map(repr, via_linear))
-                sort_keys = [(first, rdata) for _, _, rdata, first, _, _ in via_table]
-                assert sort_keys == sorted(sort_keys)
 
     @settings(max_examples=50, deadline=None)
     @given(_history, _window)
     def test_query_domain_matches_linear(self, history, window):
-        """The per-domain CSR slice (plus the irregular-row merge) equals
-        the linear suffix scan, for subdomain, apex, multi-label-suffix,
-        and bare-public-suffix queries alike."""
-        db = _database_from(history)
+        """The per-domain CSR slice (or the irregular-name walk) equals the
+        model's suffix scan, for subdomain, apex and multi-label-suffix
+        queries alike."""
+        db, model = _database_from(history), _model_from(history)
         interval = _interval(window)
         for query in (
             "www.alpha.com",
             "alpha.com",
             "login.beta.co.uk",
             "beta.co.uk",
-            "co.uk",          # bare public suffix: linear fallback
             "missing.example.org",
         ):
-            via_table = _keyed(db.query_domain(query, interval))
-            via_linear = _keyed(db._query_domain_linear(_base_of(query), interval))
-            assert sorted(map(repr, via_table)) == sorted(map(repr, via_linear))
-            sort_keys = [
-                (rrname, first, rdata)
-                for rrname, _, rdata, first, _, _ in via_table
-            ]
-            assert sort_keys == sorted(sort_keys)
+            _assert_same_rows(
+                db.query_domain(query, interval),
+                model.query_domain(query, interval),
+                _by_name_first_rdata,
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(_history, _window)
+    def test_bare_suffix_query_domain_matches_linear(self, history, window):
+        """A bare public suffix spans many registered domains; the walk of
+        the sorted owner-name pool returns the model's suffix scan."""
+        db, model = _database_from(history), _model_from(history)
+        interval = _interval(window)
+        for query in ("co.uk", "com", "uk"):
+            _assert_same_rows(
+                db.query_domain(query, interval),
+                model.query_domain(query, interval),
+                _by_name_first_rdata,
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(_history, _window)
+    def test_query_rdata_matches_linear(self, history, window):
+        """The pivot's inverse lookup: for every rtype (and none), in any
+        case and with or without a trailing dot, the rdata index returns
+        the model's rows in ``(rrname, first_seen)`` order."""
+        db, model = _database_from(history), _model_from(history)
+        interval = _interval(window)
+        for rdata in RDATA:
+            stem = rdata.rstrip(".")
+            for query in {rdata, stem, stem + ".", stem.upper(), stem.lower() + "."}:
+                for rtype in (None, *RTYPES):
+                    _assert_same_rows(
+                        db.query_rdata(query, rtype, interval),
+                        model.query_rdata(query, rtype, interval),
+                        _by_name_first,
+                    )
 
     @settings(max_examples=30, deadline=None)
     @given(_history)
-    def test_histories_toggle_identically(self, history):
-        """a_history / ns_history answer identically with the table off."""
-        db = _database_from(history)
-        legacy = _database_from(history)
-        legacy.use_table = False
+    def test_histories_match_linear(self, history):
+        """a_history / ns_history answer exactly like the model."""
+        db, model = _database_from(history), _model_from(history)
         for rrname in RRNAMES:
-            assert _keyed(db.a_history(rrname)) == _keyed(legacy.a_history(rrname))
-            if rrname != "bad..name":  # ns_history resolves a registered domain
-                assert _keyed(db.ns_history(rrname)) == _keyed(
-                    legacy.ns_history(rrname)
-                )
-
-
-def _base_of(query: str) -> str:
-    from repro.net.names import registered_domain
-
-    return registered_domain(query)
+            assert _keyed(db.a_history(rrname)) == _keyed(model.a_history(rrname))
+            if ".." not in rrname:  # ns_history resolves a registered domain
+                assert _keyed(db.ns_history(rrname)) == _keyed(model.ns_history(rrname))
 
 
 class TestRowEquivalence:
@@ -196,8 +240,10 @@ class TestRowEquivalence:
         assert len(db.table) != before or any(
             r["rrname"] == "late.alpha.com" for r in db.table.row_dicts()
         )
+        model = _model_from(history)
+        model.add_observation("late.alpha.com", RRType.A, "10.9.9.9", BASE)
         assert _keyed(db.query_name("late.alpha.com")) == _keyed(
-            db._query_name_linear("late.alpha.com", None, None)
+            model.query_name("late.alpha.com")
         )
 
 
