@@ -10,8 +10,8 @@ it, on the synthetic scale world (``repro.world.scale``):
   unpickling the equivalent in-RAM input bundle (what a pickle-shipping
   backend pays per process), plus the worker descriptor size a shard
   scheduler actually sends;
-* **pooled peak RSS** — a segment-backed shard-partitioned pool run
-  versus the in-RAM pooled baseline, each probed in a fresh interpreter
+* **pooled peak RSS** — a segment-backed pool run versus the in-RAM
+  pooled baseline, each probed in a fresh interpreter
   (``python -m repro.obs.rss_probe``) so neither inherits the other's
   high-water mark.
 

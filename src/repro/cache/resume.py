@@ -1,9 +1,12 @@
 """The per-stage shard resume manifest.
 
-When a sharded stage streams its per-shard products through the stage
-cache (``ProcessPoolBackend(partition="shard", shard_cache=True)``), the
-backend also appends each completed shard to a small JSON manifest under
-``<cache_root>/resume/<stage_fingerprint>.json``.  The manifest is pure
+When a pooled stage of a cached run streams its per-shard products
+through the stage cache (every :class:`~repro.exec.ProcessPoolBackend`
+run given a ``StageCache``), the backend also appends each completed
+shard to a small JSON manifest under
+``<cache_root>/resume/<stage_fingerprint>.json``.  The executor discards
+the manifest once the stage-level entry lands, so only an interrupted
+stage leaves one behind (and gc pins its shards).  The manifest is pure
 bookkeeping — shard *results* live in ordinary content-addressed cache
 entries and are re-probed by key on every run — but it gives a killed
 run's operator (and the crash/resume tests) a durable, human-readable
@@ -69,8 +72,6 @@ class ResumeManifest:
         n_shards: int,
         ordinal: int,
         shard_key: str,
-        *,
-        resumed: bool = False,
     ) -> None:
         """Append one completed shard (idempotent per ordinal)."""
         data = self.load(fingerprint)
@@ -81,12 +82,9 @@ class ResumeManifest:
                 "n_items": n_items,
                 "n_shards": n_shards,
                 "shards": {},
-                "resumed": 0,
             }
         shards = data.setdefault("shards", {})
         shards[str(ordinal)] = shard_key
-        if resumed:
-            data["resumed"] = int(data.get("resumed", 0)) + 1
         self._write(fingerprint, data)
 
     def discard(self, fingerprint: str) -> None:

@@ -9,10 +9,10 @@
 
     Parallel runs (``paper``, ``hunt``, ``profile``) also accept
     ``--backend {auto,fork,spawn}`` (worker start method; spawn ships the
-    inputs once through shared memory), ``--partition {hash,shard}``
-    (shard hands workers (lo, hi) item ranges instead of pickled
-    chunks), and ``--shard-cache`` (stream per-shard products into the
-    stage cache so an interrupted run resumes from completed shards).
+    inputs once through shared memory).  Workers get contiguous (lo, hi)
+    shards of each fan-out; with ``--cache`` every completed shard is
+    banked in the stage cache, so an interrupted run resumes from its
+    completed shards.
 
     repro-hunt quickstart
         The one-hijack demo world.
@@ -155,8 +155,6 @@ def _make_backend(args: argparse.Namespace) -> ExecutionBackend:
         jobs=args.jobs,
         chunk_size=args.chunk_size,
         start_method=None if backend == "auto" else backend,
-        partition=getattr(args, "partition", "hash"),
-        shard_cache=getattr(args, "shard_cache", False),
     )
 
 
@@ -181,18 +179,6 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
         help="worker start method: fork inherits the inputs copy-on-write, "
         "spawn ships them once through shared memory "
         "(default: auto = fork where available, else spawn)",
-    )
-    parser.add_argument(
-        "--partition", choices=["hash", "shard"], default="hash",
-        help="work partitioning: 'hash' pickles item chunks by key crc32, "
-        "'shard' hands workers (lo, hi) item ranges they slice out of "
-        "their own inputs (default: hash)",
-    )
-    parser.add_argument(
-        "--shard-cache", action="store_true", default=False,
-        help="with --partition shard and --cache: stream each shard's "
-        "products into the stage cache so a killed run resumes from "
-        "completed shards",
     )
 
 

@@ -356,10 +356,11 @@ class DeploymentMapStage(Stage):
 
     def run(self, ctx: HuntContext, backend: ExecutionBackend) -> StageStats:
         domains = ctx.inputs.scan.domains()
-        # Workers ship the compact int-tuple encoding — pool ids over
-        # the shared scan table, not object graphs; materialize the map
-        # objects (and their raw records) here against the parent table.
-        per_domain = backend.map("deployment", domains, key=lambda d: d)
+        # The kernel sweeps domain ordinals (shards pickle as ``range``
+        # slices) and ships the compact int-tuple encoding — pool ids
+        # over the shared scan table, not object graphs; materialize the
+        # map objects (and their raw records) here against the parent table.
+        per_domain = backend.map("deployment", range(len(domains)))
         # Index the pool only for domains that mapped to something:
         # enumerate keeps the sweep over a million-domain population from
         # decoding a million pooled strings just to pair empty results.
@@ -523,7 +524,7 @@ class InspectionStage(Stage):
         # Workers ship each result's compact wire form — pDNS row ids
         # and (fingerprint, ordinal) CT references; materialize the
         # evidence object graphs here against the parent's tables.
-        encoded = backend.map("inspect", ctx.shortlist, key=lambda e: e.domain)
+        encoded = backend.map("inspect", ctx.shortlist)
         ctx.inspections = [
             decode_inspection(enc, entry, ctx.inputs.pdns, ctx.inputs.crtsh)
             for entry, enc in zip(ctx.shortlist, encoded)

@@ -8,9 +8,9 @@ live next to their domain logic in :mod:`repro.core.pipeline`) from
 * ``stage`` — the :class:`Stage` protocol and the shared
   :class:`StageContext` every stage reads from and writes to.
 * ``backends`` — pluggable schedulers: :class:`SerialBackend` runs
-  kernels inline; :class:`ProcessPoolBackend` shards embarrassingly
-  parallel work (deployment mapping, classification, inspection) across
-  worker processes by domain hash.
+  kernels inline; :class:`ProcessPoolBackend` splits the embarrassingly
+  parallel fan-outs (deployment mapping, inspection) into contiguous
+  ``(lo, hi)`` shards across worker processes.
 * ``kernels`` — the picklable per-item work functions the backends
   dispatch, operating on worker-global pipeline inputs.
 * ``executor`` — :class:`PipelineExecutor` drives the stage list and

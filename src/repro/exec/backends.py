@@ -1,26 +1,22 @@
 """Pluggable schedulers for the pipeline's fan-out stages.
 
-Both backends expose the same contract: ``map(kernel_name, items, key)``
+Both backends expose the same contract: ``map(kernel_name, items)``
 returns one result per item, **aligned with the input order**, no matter
 how the work was sharded.  That alignment — plus kernels being pure
 per-item maps — is the whole determinism story: stage products are
 assembled in input order, so the serial and process-pool paths produce
 byte-identical reports.
 
-The process-pool backend has two partition strategies:
-
-* ``partition="hash"`` (default) shards items across workers by a
-  stable hash of their domain key (``crc32``, never Python's randomized
-  ``hash``), then splits each worker's bucket into chunks so
-  long-running buckets pipeline instead of serializing.  Chunks carry
-  the items themselves.
-* ``partition="shard"`` hands workers contiguous ``(lo, hi)`` index
-  ranges of kernels registered in :data:`repro.exec.kernels.ITEM_SOURCES`
-  — the worker regenerates the items from its own process-global inputs,
-  so a million-item fan-out ships two ints per shard and the parent
-  never materializes the item list.  With ``shard_cache=True`` each
-  completed shard's results stream into the stage cache under a
-  shard-scoped key, so a killed run resumes from its completed shards.
+The process-pool backend has one scheduler for every kernel: it splits
+``range(len(items))`` into contiguous ``(lo, hi)`` shards and ships each
+worker ``items[lo:hi]``.  The deployment stage maps over domain
+*ordinals* — a ``range``, whose slices pickle as two ints — so a
+million-domain sweep never materializes its items in the parent; the
+inspection stage's shards carry the shortlisted entries themselves.
+When the executor installs a shard context (a cached run computing a
+cacheable stage), each completed shard's results stream into the stage
+cache under a shard-scoped key, so a killed run resumes from its
+completed shards.
 
 Input transport is governed by the start method: with ``fork`` the
 heavy inputs never travel at all — the parent installs them as kernel
@@ -39,12 +35,11 @@ import multiprocessing
 import os
 import pickle
 import time
-import zlib
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from hashlib import blake2b
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.exec import kernels
 from repro.exec.metrics import RetryEvent, StageStats, TaskEvent
@@ -56,9 +51,9 @@ if TYPE_CHECKING:
     from repro.cache.store import StageCache
     from repro.faults.plan import FaultPlan
 
-#: How many chunks each worker gets by default when no chunk size is set;
-#: >1 so an unlucky hash bucket does not serialize the whole stage.
-_CHUNKS_PER_WORKER = 4
+#: How many shards each worker gets by default when no chunk size is set;
+#: >1 so one slow shard does not serialize the whole stage.
+_SHARDS_PER_WORKER = 4
 
 #: Retry policy used when no fault plan supplies one: a genuinely broken
 #: process pool is still rebuilt and retried this many times.
@@ -93,19 +88,14 @@ class ExecutionBackend(ABC):
         The executor brackets every cache-missed stage with this call so
         a sharding backend can stream per-shard products into the stage
         cache under shard-scoped keys.  The base implementation ignores
-        it — only backends that opt into shard caching act on it.
+        it — only the process pool shards.
         """
 
     def clear_shard_context(self) -> None:
         """Drop any shard context installed by :meth:`set_shard_context`."""
 
     @abstractmethod
-    def map(
-        self,
-        kernel_name: str,
-        items: Sequence,
-        key: Callable[[Any], str],
-    ) -> list:
+    def map(self, kernel_name: str, items: Sequence) -> list:
         """Apply a kernel to every item, results aligned with ``items``."""
 
     # -- fault + retry machinery (inert without an installed plan) -----------
@@ -143,7 +133,6 @@ class ExecutionBackend(ABC):
         Injected crashes are retried with exponential backoff, exactly
         like a process-pool chunk.
         """
-        items = list(items)
         if not items:
             return []
         max_attempts = self._max_attempts()
@@ -194,12 +183,7 @@ class SerialBackend(ExecutionBackend):
     def start(self, inputs: Any, config: Any) -> None:
         kernels.set_context(inputs, config)
 
-    def map(
-        self,
-        kernel_name: str,
-        items: Sequence,
-        key: Callable[[Any], str],
-    ) -> list:
+    def map(self, kernel_name: str, items: Sequence) -> list:
         return self.run_inline(kernel_name, items)
 
 
@@ -208,12 +192,8 @@ class ProcessPoolBackend(ExecutionBackend):
 
     ``start_method`` picks the multiprocessing start method: ``"fork"``,
     ``"spawn"``, or None for the platform default (fork where available).
-    ``partition`` selects how items are split — ``"hash"`` (stable
-    domain-hash buckets, items travel in the chunk) or ``"shard"``
-    (contiguous index ranges for kernels with a registered item source;
-    two ints travel per shard).  ``shard_cache=True`` additionally
-    streams each completed shard's results through the stage cache so an
-    interrupted run resumes from its completed shards.
+    ``partition`` and ``shard_cache`` accept only ``"shard"`` and
+    ``True``; they remain for callers that still pass them.
     """
 
     name = "process"
@@ -224,8 +204,8 @@ class ProcessPoolBackend(ExecutionBackend):
         chunk_size: int | None = None,
         *,
         start_method: str | None = None,
-        partition: str = "hash",
-        shard_cache: bool = False,
+        partition: str = "shard",
+        shard_cache: bool = True,
     ) -> None:
         super().__init__()
         self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
@@ -236,14 +216,18 @@ class ProcessPoolBackend(ExecutionBackend):
                 f"start_method must be 'fork', 'spawn', or None, "
                 f"got {start_method!r}"
             )
-        if partition not in ("hash", "shard"):
+        if partition != "shard":
             raise ValueError(
-                f"partition must be 'hash' or 'shard', got {partition!r}"
+                f"partition={partition!r}: the hash partition was removed; "
+                "every pooled kernel runs as (lo, hi) shards"
+            )
+        if shard_cache is not True:
+            raise ValueError(
+                f"shard_cache={shard_cache!r}: the uncached shard mode was "
+                "removed; shards bank whenever the run has a stage cache"
             )
         self.chunk_size = chunk_size
         self.start_method = start_method
-        self.partition = partition
-        self.shard_cache = bool(shard_cache)
         self._pool: ProcessPoolExecutor | None = None
         self._inputs: Any = None
         self._config: Any = None
@@ -325,8 +309,6 @@ class ProcessPoolBackend(ExecutionBackend):
     # -- shard caching ---------------------------------------------------------
 
     def set_shard_context(self, cache: StageCache, fingerprint: str) -> None:
-        if not self.shard_cache:
-            return
         from repro.cache.resume import ResumeManifest
 
         self._shard_ctx = (cache, fingerprint, ResumeManifest(cache.root))
@@ -334,76 +316,7 @@ class ProcessPoolBackend(ExecutionBackend):
     def clear_shard_context(self) -> None:
         self._shard_ctx = None
 
-    def _submit_chunk(
-        self, kernel_name: str, items: list, chunk: list[int], ordinal: int, attempt: int
-    ):
-        fault = self._chunk_fault(kernel_name, ordinal, attempt)
-        return self._pool.submit(
-            kernels.run_chunk, kernel_name, [items[i] for i in chunk], fault
-        )
-
-    def map(
-        self,
-        kernel_name: str,
-        items: Sequence,
-        key: Callable[[Any], str],
-    ) -> list:
-        if self._pool is None:
-            raise RuntimeError("backend not started")
-        if self.partition == "shard" and kernel_name in kernels.ITEM_SOURCES:
-            return self._map_shards(kernel_name, items)
-        items = list(items)
-        if not items:
-            return []
-        chunks = self._chunks(items, key)
-        max_attempts = self._max_attempts()
-        attempts = [0] * len(chunks)
-        futures = [
-            self._submit_chunk(kernel_name, items, chunk, ordinal, 0)
-            for ordinal, chunk in enumerate(chunks)
-        ]
-        results: list = [None] * len(items)
-        for ordinal, chunk in enumerate(chunks):
-            while True:
-                attempt = attempts[ordinal]
-                try:
-                    pid, seconds, chunk_results, obs = futures[ordinal].result()
-                except WorkerFault as exc:
-                    attempts[ordinal] += 1
-                    if attempts[ordinal] >= max_attempts:
-                        raise RetryBudgetExceeded(
-                            f"kernel {kernel_name!r} chunk {ordinal} failed "
-                            f"{max_attempts} times"
-                        ) from exc
-                    self._record_retry(kernel_name, "crash", attempt)
-                    time.sleep(self._backoff_seconds(attempt))
-                    futures[ordinal] = self._submit_chunk(
-                        kernel_name, items, chunk, ordinal, attempts[ordinal]
-                    )
-                except BrokenProcessPool as exc:
-                    attempts[ordinal] += 1
-                    if attempts[ordinal] >= max_attempts:
-                        raise RetryBudgetExceeded(
-                            f"process pool broke {max_attempts} times running "
-                            f"kernel {kernel_name!r}"
-                        ) from exc
-                    self._record_retry(kernel_name, "pool_rebuild", attempt)
-                    time.sleep(self._backoff_seconds(attempt))
-                    self._rebuild_pool()
-                    # A broken pool voids every outstanding future, not
-                    # just this chunk's — resubmit all uncollected work.
-                    for later in range(ordinal, len(chunks)):
-                        futures[later] = self._submit_chunk(
-                            kernel_name, items, chunks[later], later, attempts[later]
-                        )
-                else:
-                    self._record(TaskEvent(pid, seconds, len(chunk), kernel_name, obs))
-                    for index, result in zip(chunk, chunk_results):
-                        results[index] = result
-                    break
-        return results
-
-    # -- the shard partition path ---------------------------------------------
+    # -- the shard scheduler --------------------------------------------------
 
     def _shard_ranges(self, n: int) -> list[tuple[int, int]]:
         """Contiguous ``(lo, hi)`` index ranges covering ``range(n)``.
@@ -416,37 +329,41 @@ class ProcessPoolBackend(ExecutionBackend):
         if self.chunk_size:
             count = max(1, math.ceil(n / self.chunk_size))
         else:
-            count = min(n, self.jobs * _CHUNKS_PER_WORKER)
+            count = min(n, self.jobs * _SHARDS_PER_WORKER)
         return [(i * n // count, (i + 1) * n // count) for i in range(count)]
 
     def _submit_shard(
-        self, kernel_name: str, lo: int, hi: int, ordinal: int, attempt: int
+        self, kernel_name: str, items: Sequence, lo: int, hi: int,
+        ordinal: int, attempt: int,
     ):
         fault = self._chunk_fault(kernel_name, ordinal, attempt)
         return self._pool.submit(
-            kernels.run_range_chunk, kernel_name, lo, hi, fault
+            kernels.run_chunk, kernel_name, items[lo:hi], fault
         )
 
-    def _map_shards(self, kernel_name: str, items: Sequence) -> list:
-        """Range-shard a kernel with a registered item source.
+    def map(self, kernel_name: str, items: Sequence) -> list:
+        """Run a kernel over contiguous ``(lo, hi)`` shards of ``items``.
 
-        ``items`` is only measured (``len``) and used for result
-        alignment — it is never pickled or even iterated in the parent,
-        so a lazy segment-backed pool stays on disk.  When a shard
-        context is installed (``shard_cache=True`` and the executor is
-        computing a cacheable stage), each shard probes the cache first
-        and stores its results on completion, giving interrupted runs
-        shard-granular resume.
+        Each shard ships ``items[lo:hi]``; a ``range`` slices to a
+        ``range``, so an ordinal sweep sends two ints per shard and the
+        parent never materializes the items.  When a shard context is
+        installed (the executor is computing a cacheable stage of a
+        cached run), each shard probes the cache first and stores its
+        results on completion, giving interrupted runs shard-granular
+        resume; the ``shards.*`` counters are recorded only then, so an
+        uncached pool run counts exactly what a serial run counts.
         """
+        if self._pool is None:
+            raise RuntimeError("backend not started")
         n = len(items)
         if not n:
             return []
         ranges = self._shard_ranges(n)
         registry = get_registry()
-        registry.inc("shards.total", len(ranges))
         cache = fingerprint = manifest = None
         if self._shard_ctx is not None:
             cache, fingerprint, manifest = self._shard_ctx
+            registry.inc("shards.total", len(ranges))
         results: list = [None] * n
         keys: list[str | None] = [None] * len(ranges)
         pending: list[int] = []
@@ -468,7 +385,9 @@ class ProcessPoolBackend(ExecutionBackend):
         max_attempts = self._max_attempts()
         attempts = {ordinal: 0 for ordinal in pending}
         futures = {
-            ordinal: self._submit_shard(kernel_name, *ranges[ordinal], ordinal, 0)
+            ordinal: self._submit_shard(
+                kernel_name, items, *ranges[ordinal], ordinal, 0
+            )
             for ordinal in pending
         }
         for position, ordinal in enumerate(pending):
@@ -487,7 +406,7 @@ class ProcessPoolBackend(ExecutionBackend):
                     self._record_retry(kernel_name, "crash", attempt)
                     time.sleep(self._backoff_seconds(attempt))
                     futures[ordinal] = self._submit_shard(
-                        kernel_name, lo, hi, ordinal, attempts[ordinal]
+                        kernel_name, items, lo, hi, ordinal, attempts[ordinal]
                     )
                 except BrokenProcessPool as exc:
                     attempts[ordinal] += 1
@@ -503,15 +422,16 @@ class ProcessPoolBackend(ExecutionBackend):
                     # resubmit all uncollected shards.
                     for later in pending[position:]:
                         futures[later] = self._submit_shard(
-                            kernel_name, *ranges[later], later, attempts[later]
+                            kernel_name, items, *ranges[later], later,
+                            attempts[later],
                         )
                 else:
                     self._record(
                         TaskEvent(pid, seconds, hi - lo, kernel_name, obs)
                     )
                     results[lo:hi] = shard_results
-                    registry.inc("shards.computed")
                     if cache is not None:
+                        registry.inc("shards.computed")
                         cache.put(
                             keys[ordinal],
                             f"shard:{kernel_name}",
@@ -524,23 +444,6 @@ class ProcessPoolBackend(ExecutionBackend):
                         )
                     break
         return results
-
-    def _chunks(
-        self, items: list, key: Callable[[Any], str]
-    ) -> list[list[int]]:
-        """Deterministic chunk composition: hash-shard, then split."""
-        buckets: list[list[int]] = [[] for _ in range(self.jobs)]
-        for index, item in enumerate(items):
-            shard = zlib.crc32(key(item).encode("utf-8")) % self.jobs
-            buckets[shard].append(index)
-        size = self.chunk_size or max(
-            1, math.ceil(len(items) / (self.jobs * _CHUNKS_PER_WORKER))
-        )
-        chunks: list[list[int]] = []
-        for bucket in buckets:
-            for start in range(0, len(bucket), size):
-                chunks.append(bucket[start : start + size])
-        return chunks
 
     def close(self) -> None:
         if self._pool is not None:

@@ -215,10 +215,16 @@ class PipelineExecutor:
                             else:
                                 ctx.quality.record_retry(event.kind)
                         if fingerprint is not None:
+                            from repro.cache.resume import ResumeManifest
+
                             products = stage.cache_products(ctx)
                             nbytes = cache.put(
                                 fingerprint, stage.name, stats, products
                             )
+                            # The stage entry supersedes any shards banked
+                            # under this fingerprint: dropping their resume
+                            # manifest unpins them for gc.
+                            ResumeManifest(cache.root).discard(fingerprint)
                             # Undo any stripping cache_products performed
                             # (the mapping shares objects with the ctx).
                             stage.restore_products(ctx, products)
@@ -351,11 +357,11 @@ class PipelineExecutor:
         stage_name: str = "",
     ) -> None:
         """Fold chunk observability payloads into the run's registry/trace."""
-        emit_chunks = sink is not NULL_EVENTS
+        emit_chunk_events = sink is not NULL_EVENTS
         for event in events:
             if event.kernel:
                 registry.observe(f"kernel.{event.kernel}.seconds", event.seconds)
-            if emit_chunks:
+            if emit_chunk_events:
                 sink.emit(
                     stamp(
                         {

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.faults.errors import InjectedWorkerCrash
 from repro.faults.plan import CRASH, SLOW
@@ -24,48 +24,12 @@ from repro.obs.metrics import drain_worker_snapshot, mark_worker
 _INPUTS: Any = None
 _CONFIG: Any = None
 
-KERNELS: dict[str, Callable[[list], list]] = {}
-
-#: Kernels whose item sequence a worker can regenerate from the
-#: process-global inputs.  The shard scheduler hands such kernels
-#: ``(lo, hi)`` ranges instead of pickled item lists, so a million-item
-#: fan-out ships two ints per shard and the parent never materializes
-#: the items at all (segment-backed pools decode them transiently).
-ITEM_SOURCES: dict[str, Callable[[], Any]] = {}
-
-#: Kernels that can consume an ``(lo, hi)`` ordinal range *directly*,
-#: without the worker materializing the item objects first.  The shard
-#: path prefers these: at population scale, decoding a million pooled
-#: domain strings per sweep costs more resident memory than the kernel's
-#: actual work (see ``_deployment_range_kernel``).
-RANGE_KERNELS: dict[str, Callable[[int, int], list]] = {}
+KERNELS: dict[str, Callable[[Sequence], list]] = {}
 
 
 def kernel(name: str) -> Callable:
-    def register(fn: Callable[[list], list]) -> Callable[[list], list]:
+    def register(fn: Callable[[Sequence], list]) -> Callable[[Sequence], list]:
         KERNELS[name] = fn
-        return fn
-
-    return register
-
-
-def range_kernel(name: str) -> Callable:
-    """Register a kernel's ordinal-range fast path (same results as the
-    item form over ``items[lo:hi]`` — the differential tests hold both
-    to that contract)."""
-
-    def register(fn: Callable[[int, int], list]) -> Callable[[int, int], list]:
-        RANGE_KERNELS[name] = fn
-        return fn
-
-    return register
-
-
-def item_source(name: str) -> Callable:
-    """Register the in-process item sequence of one shardable kernel."""
-
-    def register(fn: Callable[[], Any]) -> Callable[[], Any]:
-        ITEM_SOURCES[name] = fn
         return fn
 
     return register
@@ -111,9 +75,13 @@ def worker_init_shm(name: str, size: int) -> None:
 
 
 def run_chunk(
-    name: str, chunk: list, fault: str | None = None
+    name: str, chunk: Sequence, fault: str | None = None
 ) -> tuple[int, float, list, tuple]:
     """Execute one chunk: (pid, busy seconds, per-item results, obs).
+
+    ``chunk`` is one shard's slice of the stage's items — a ``range`` of
+    domain ordinals for the deployment sweep, so that shard's descriptor
+    pickles as two ints.
 
     ``fault`` is a directive the parent drew from its fault plan before
     dispatch: ``"crash"`` raises :class:`InjectedWorkerCrash` before any
@@ -143,73 +111,26 @@ def run_chunk(
     return os.getpid(), end - start, results, obs
 
 
-def run_range_chunk(
-    name: str, lo: int, hi: int, fault: str | None = None
-) -> tuple[int, float, list, tuple]:
-    """Execute one ``(lo, hi)`` item range of a shardable kernel.
-
-    The worker slices the items out of its own process-global inputs
-    (see :data:`ITEM_SOURCES`) — the shard descriptor that traveled is
-    two ints.  Fault directives behave exactly like :func:`run_chunk`.
-    """
-    chunk_start = time.perf_counter()
-    if fault is not None:
-        if fault == CRASH:
-            raise InjectedWorkerCrash(
-                f"injected worker crash in kernel {name!r} (pid {os.getpid()})"
-            )
-        if fault.startswith(SLOW):
-            time.sleep(int(fault.split(":", 1)[1]) / 1000.0)
-    range_fn = RANGE_KERNELS.get(name)
-    if range_fn is not None:
-        start = time.perf_counter()
-        results = range_fn(lo, hi)
-    else:
-        items = list(ITEM_SOURCES[name]()[lo:hi])
-        start = time.perf_counter()
-        results = KERNELS[name](items)
-    end = time.perf_counter()
-    obs = (chunk_start, end, drain_worker_snapshot())
-    return os.getpid(), end - start, results, obs
-
-
 # -- the pipeline's kernels ----------------------------------------------------
 
 
 @kernel("deployment")
-def _deployment_kernel(domains: list[str]) -> list[list]:
-    """Step 1: each domain's deployment maps, in columnar encoded form.
+def _deployment_kernel(ordinals: range) -> list:
+    """Step 1: the encoded deployment maps of a domain-*ordinal* range.
 
-    Clusters directly over the scan table's column slices and ships back
-    the compact int-tuple encoding — interned pool ids, not object
-    graphs (see ``encode_domain_maps``).  The deployment stage decodes
-    against the parent's table and reattaches the raw records there.
+    ``scan.domains()[i]`` and CSR position ``i`` name the same domain,
+    so the sweep indexes ``csr_off`` directly and never decodes a domain
+    string — on a segment-backed table the worker faults only the CSR
+    index pages, not the domain pool, for the (overwhelming) majority
+    of domains whose encoding comes back empty.  Results are the compact
+    int-tuple encoding (interned pool ids, not object graphs; see
+    ``encode_domain_maps_at``), which the deployment stage decodes
+    against the parent's table.
 
     Domains with no in-period deployments encode as ``()``, not ``[]``:
     the empty tuple is a shared singleton on both sides of the pickle,
     so at population scale the parent's dense result list costs one
     pointer per empty domain instead of a distinct empty-list object.
-    """
-    from repro.core.deployment import encode_domain_maps
-
-    return [
-        encode_domain_maps(
-            _INPUTS.scan, domain, _INPUTS.periods, _CONFIG.max_gap_scans
-        )
-        or ()
-        for domain in domains
-    ]
-
-
-@range_kernel("deployment")
-def _deployment_range_kernel(lo: int, hi: int) -> list:
-    """Shard fast path: sweep a domain-*ordinal* range of the CSR.
-
-    ``domains()[i]`` and CSR position ``i`` name the same domain, so the
-    sweep indexes ``csr_off`` directly and never decodes a domain string
-    — on a segment-backed table the worker faults only the CSR index
-    pages, not the domain pool, for the (overwhelming) majority of
-    domains whose encoding comes back empty.
     """
     from repro.core.deployment import encode_domain_maps_at
 
@@ -218,16 +139,8 @@ def _deployment_range_kernel(lo: int, hi: int) -> list:
             _INPUTS.scan, index, _INPUTS.periods, _CONFIG.max_gap_scans
         )
         or ()
-        for index in range(lo, hi)
+        for index in ordinals
     ]
-
-
-@item_source("deployment")
-def _deployment_items():
-    """The deployment kernel's items: every registered domain, in the
-    scan table's sorted domain order (a lazy pool view when the inputs
-    are segment-backed)."""
-    return _INPUTS.scan.domains()
 
 
 @kernel("classify")

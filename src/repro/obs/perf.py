@@ -53,11 +53,11 @@ def measure_segments(
     * **open latency** — remapping the bundle versus unpickling the
       in-RAM input bundle (the payload a pickle-shipping backend pays
       per process);
-    * **pooled peak RSS** — a segment-backed shard-partitioned pool run
-      at ``n_domains`` versus an in-RAM pooled run at
-      ``baseline_domains`` (default: ``n_domains``), each probed in a
-      fresh interpreter via :mod:`repro.obs.rss_probe` so neither
-      inherits the other's high-water mark.
+    * **pooled peak RSS** — a segment-backed pool run at ``n_domains``
+      versus an in-RAM pooled run at ``baseline_domains`` (default:
+      ``n_domains``), each probed in a fresh interpreter via
+      :mod:`repro.obs.rss_probe` so neither inherits the other's
+      high-water mark.
 
     ``rss_within_baseline`` is the headline invariant CI floors on: a
     segment-backed run at full scale must not out-consume the in-RAM
@@ -113,10 +113,7 @@ def measure_segments(
         open_seconds = time.perf_counter() - t0
         gc.collect()
 
-        seg = _probe(
-            ["segment", "--dir", str(directory), "--jobs", str(jobs),
-             "--partition", "shard"]
-        )
+        seg = _probe(["segment", "--dir", str(directory), "--jobs", str(jobs)])
         inram = _probe(
             ["inram", "--scale", str(baseline_domains),
              "--active", str(n_active), "--seed", str(seed),

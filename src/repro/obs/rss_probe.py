@@ -59,7 +59,6 @@ def _make_backend(args: argparse.Namespace):
     return ProcessPoolBackend(
         jobs=args.jobs,
         start_method=None if args.backend == "auto" else args.backend,
-        partition=args.partition,
     )
 
 
@@ -96,9 +95,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--jobs", type=int, default=2)
         p.add_argument(
             "--backend", choices=["auto", "fork", "spawn"], default="auto"
-        )
-        p.add_argument(
-            "--partition", choices=["hash", "shard"], default="shard"
         )
 
     segment = sub.add_parser("segment", help="segment-backed run over --dir")

@@ -408,17 +408,13 @@ class TestRunEpoch:
         _assert_partition(metrics, _population(world, delta, faults=spec))
         assert encode_report(report) == _cold_text(world, delta, faults=spec)
 
-    @pytest.mark.parametrize(
-        ("start_method", "partition"), [("fork", "hash"), ("spawn", "shard")]
-    )
-    def test_process_backends_are_identical(self, tmp_path, start_method, partition):
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_process_backends_are_identical(self, tmp_path, start_method):
         world = _world()
         delta = _delta(world)
         cache = StageCache(tmp_path)
         HijackPipeline(world).profile(cache=cache)
-        backend = ProcessPoolBackend(
-            jobs=2, start_method=start_method, partition=partition
-        )
+        backend = ProcessPoolBackend(jobs=2, start_method=start_method)
         report, metrics, _dirty = run_epoch(
             world, delta, backend=backend, cache=cache
         )

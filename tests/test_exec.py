@@ -55,14 +55,37 @@ def test_default_run_matches_serial_backend(small_study, small_report):
     assert small_study.run_pipeline(backend=SerialBackend()) == small_report
 
 
+def _assert_contiguous_cover(ranges, n):
+    assert ranges[0][0] == 0 and ranges[-1][1] == n
+    assert all(lo < hi for lo, hi in ranges)
+    assert all(prev[1] == nxt[0] for prev, nxt in zip(ranges, ranges[1:]))
+
+
 def test_pool_backend_chunking_is_deterministic():
-    backend = ProcessPoolBackend(jobs=3, chunk_size=2)
-    items = [f"d{i}.com" for i in range(11)]
-    first = backend._chunks(items, key=lambda d: d)
-    second = backend._chunks(items, key=lambda d: d)
-    assert first == second
-    assert sorted(i for chunk in first for i in chunk) == list(range(11))
-    assert all(len(chunk) <= 2 for chunk in first)
+    """Shards are contiguous ``(lo, hi)`` ranges covering ``range(n)`` in
+    order, at most ``chunk_size`` wide, ``min(n, jobs * 4)`` of them by
+    default — and a pure function of ``(n, jobs, chunk_size)``."""
+    sized = ProcessPoolBackend(jobs=3, chunk_size=2)
+    for n in (1, 2, 11, 100):
+        ranges = sized._shard_ranges(n)
+        assert ranges == sized._shard_ranges(n)
+        assert ranges == ProcessPoolBackend(jobs=3, chunk_size=2)._shard_ranges(n)
+        _assert_contiguous_cover(ranges, n)
+        assert all(hi - lo <= 2 for lo, hi in ranges)
+    default = ProcessPoolBackend(jobs=3)
+    for n in (1, 5, 12, 13, 1000):
+        ranges = default._shard_ranges(n)
+        assert ranges == default._shard_ranges(n)
+        _assert_contiguous_cover(ranges, n)
+        assert len(ranges) == min(n, 3 * 4)
+
+
+@pytest.mark.parametrize(
+    ("keyword", "value"), [("partition", "hash"), ("shard_cache", False)]
+)
+def test_pool_backend_rejects_removed_modes(keyword, value):
+    with pytest.raises(ValueError, match="removed"):
+        ProcessPoolBackend(jobs=2, **{keyword: value})
 
 
 def test_pool_backend_rejects_bad_chunk_size():
@@ -72,7 +95,7 @@ def test_pool_backend_rejects_bad_chunk_size():
 
 def test_pool_backend_requires_start():
     with pytest.raises(RuntimeError):
-        ProcessPoolBackend(jobs=2).map("classify", [1], key=str)
+        ProcessPoolBackend(jobs=2).map("classify", [1])
 
 
 # ---------------------------------------------------------------------------

@@ -185,13 +185,13 @@ def test_epoch_replay_survives_the_delta_file(tmp_path):
     assert encode_report(report) == _golden_text(seed)
 
 
-@pytest.mark.parametrize("start_method", START_METHODS)
-@pytest.mark.parametrize("partition", ["hash", "shard"])
-def test_epoch_replay_matches_golden_process_pool(start_method, partition):
+# Every pool run is the shard scheduler; the ids name it with the start method.
+@pytest.mark.parametrize(
+    "start_method", [pytest.param(m, id=f"shard-{m}") for m in START_METHODS]
+)
+def test_epoch_replay_matches_golden_process_pool(start_method):
     base, delta = _split_cached(GOLDEN_SEEDS[0])
-    backend = ProcessPoolBackend(
-        jobs=2, start_method=start_method, partition=partition
-    )
+    backend = ProcessPoolBackend(jobs=2, start_method=start_method)
     report, _metrics, _dirty = run_epoch(base, delta, backend=backend)
     assert encode_report(report) == _golden_text(GOLDEN_SEEDS[0])
 

@@ -91,11 +91,12 @@ def test_process_pool_run_matches_golden(seed, start_method):
 
 @pytest.mark.parametrize("start_method", START_METHODS)
 def test_shard_partitioned_run_matches_golden(start_method):
-    """The shard scheduler — (lo, hi) ranges sliced worker-side — must
-    be invisible in the bytes, under either start method."""
+    """Shard geometry is invisible in the bytes: narrow explicit shards
+    (``chunk_size=3``, dozens of ``(lo, hi)`` ranges instead of the
+    default ``jobs * 4``) reproduce the pin under either start method."""
     report = _study(GOLDEN_SEEDS[0]).run_pipeline(
         backend=ProcessPoolBackend(
-            jobs=2, start_method=start_method, partition="shard"
+            jobs=2, chunk_size=3, start_method=start_method
         )
     )
     assert encode_report(report) == _golden_text(GOLDEN_SEEDS[0])
@@ -376,9 +377,7 @@ def test_segment_backed_shard_pool_matches_golden(start_method, tmp_path):
     from repro.core.pipeline import HijackPipeline
 
     inputs = _segment_inputs(GOLDEN_SEEDS[0], tmp_path / "segments")
-    backend = ProcessPoolBackend(
-        jobs=2, start_method=start_method, partition="shard"
-    )
+    backend = ProcessPoolBackend(jobs=2, start_method=start_method)
     report = HijackPipeline(inputs).run(backend)
     assert encode_report(report) == _golden_text(GOLDEN_SEEDS[0])
 

@@ -1,17 +1,18 @@
 """Crash/resume integration: per-shard products survive a killed run.
 
-A shard-partitioned pool run with ``--shard-cache`` streams each
-completed shard's products into the stage cache as it lands.  These
-tests kill such a run mid-stage with injected worker crashes (reusing
-:mod:`repro.faults`'s crash channel), then re-run clean against the
-same cache root and pin the recovery contract:
+A process-pool run given a stage cache streams each completed shard's
+products into the cache as it lands.  These tests kill such a run
+mid-stage with injected worker crashes (reusing :mod:`repro.faults`'s
+crash channel), then re-run clean against the same cache root and pin
+the recovery contract:
 
 * the final report is byte-identical to the pinned golden (the shards
   banked by the dead run are semantically invisible);
 * the run's metrics — and the ledger record built from them — show
   exactly the remaining shards recomputed (``shards.resumed`` +
   ``shards.computed`` == ``shards.total``);
-* the resume manifest under the cache root maps ordinals to shard keys.
+* the resume manifest under the cache root maps ordinals to shard keys,
+  and a completed stage drops it so gc can reclaim the shards.
 """
 
 from __future__ import annotations
@@ -35,17 +36,32 @@ CRASH_PLAN_SEED = 3
 STUDY_SEED = 7
 
 
-def _sharded_backend(**kwargs) -> ProcessPoolBackend:
-    return ProcessPoolBackend(
-        jobs=2, partition="shard", shard_cache=True, **kwargs
-    )
+#: A plan that spares every deployment shard and the inline classify
+#: chunk but crashes inspect shard 2, so the dead run has banked the
+#: whole deployment stage plus inspect shards 0 and 1.
+INSPECT_CRASH_PLAN = FaultPlan(
+    spec=FaultSpec(worker_crash=0.1, max_retries=1), seed=4
+)
 
 
-def _crash_run(cache: StageCache) -> None:
-    plan = FaultPlan(spec=CRASH_SPEC, seed=CRASH_PLAN_SEED)
+def _sharded_backend() -> ProcessPoolBackend:
+    return ProcessPoolBackend(jobs=2)
+
+
+def _crash_run(cache: StageCache, plan: FaultPlan | None = None) -> None:
+    plan = plan or FaultPlan(spec=CRASH_SPEC, seed=CRASH_PLAN_SEED)
     pipeline = HijackPipeline.from_study(_study(STUDY_SEED), faults=plan)
     with pytest.raises(RetryBudgetExceeded):
         pipeline.run(_sharded_backend(), cache=cache)
+
+
+def _shard_entries(cache: StageCache, kernel: str) -> list[str]:
+    return [
+        path.stem
+        for path in cache.root.glob("??/*.entry")
+        if (entry := cache.get(path.stem)) is not None
+        and entry.stage == f"shard:{kernel}"
+    ]
 
 
 def test_crashed_run_banks_completed_shards(tmp_path):
@@ -122,6 +138,47 @@ def test_spawn_pool_rebuild_survives_crashes_and_matches_golden(tmp_path):
     the retried run still reproduces the golden bytes."""
     plan = FaultPlan(spec=FaultSpec(worker_crash=0.3, max_retries=6), seed=5)
     pipeline = HijackPipeline.from_study(_study(STUDY_SEED), faults=plan)
-    backend = ProcessPoolBackend(jobs=2, partition="shard", start_method="spawn")
+    backend = ProcessPoolBackend(jobs=2, start_method="spawn")
     report = pipeline.run(backend)
     assert encode_report(report) == _golden_text(STUDY_SEED)
+
+
+def test_completed_run_drops_its_manifests_and_gc_empties_the_cache(tmp_path):
+    """Once a stage-level entry lands its resume manifest goes, so a
+    completed run pins nothing: gc down to zero bytes removes every
+    entry, banked shards included."""
+    cache = StageCache(tmp_path / "cache")
+    report = HijackPipeline.from_study(_study(STUDY_SEED)).run(
+        _sharded_backend(), cache=cache
+    )
+    assert encode_report(report) == _golden_text(STUDY_SEED)
+    assert _shard_entries(cache, "deployment"), "no shard products were banked"
+    assert not list((cache.root / "resume").glob("*.json"))
+    result = cache.gc(max_bytes=0)
+    assert result.kept == 0
+    assert cache.stats().entries == 0
+
+
+def test_inspect_shards_bank_and_resume(tmp_path):
+    """Inspection shards carry their items (shortlisted entries), yet bank
+    and resume exactly like the deployment sweep's ordinal ranges."""
+    plan = INSPECT_CRASH_PLAN
+    assert not any(plan.worker_fault("deployment", o, 0) for o in range(8))
+    assert plan.worker_fault("classify", "inline", 0) is None
+    crashed = [o for o in range(8) if plan.worker_fault("inspect", o, 0)]
+    assert crashed and crashed[0] >= 1
+
+    cache = StageCache(tmp_path / "cache")
+    _crash_run(cache, plan)
+    assert len(_shard_entries(cache, "inspect")) >= 1
+
+    report, metrics = HijackPipeline.from_study(_study(STUDY_SEED)).profile(
+        _sharded_backend(), cache=StageCache(tmp_path / "cache")
+    )
+    assert encode_report(report) == _golden_text(STUDY_SEED)
+    counters = metrics.metrics["counters"]
+    assert counters["shards.resumed"] >= 1
+    assert (
+        counters["shards.computed"]
+        == counters["shards.total"] - counters["shards.resumed"]
+    )
