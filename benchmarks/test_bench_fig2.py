@@ -3,11 +3,11 @@
 Rebuilds the paper's example map: one stable deployment (the Greek
 government network) and one transient deployment (a single scan from a
 Vultr address in the Netherlands).  The benchmark measures deployment-
-map construction for one domain-period.
+map construction (encode and decode) for one domain-period.
 """
 
-from repro.core.deployment import build_deployment_map
-from repro.core.patterns import classify
+from repro.core.deployment import build_domain_maps
+from repro.core.patterns import classify_dataset
 from repro.core.types import PatternKind, SubPattern
 
 from conftest import show
@@ -15,11 +15,9 @@ from conftest import show
 
 def test_fig2_deployment_map(benchmark, paper):
     period = next(p for p in paper.periods if p.label == "2019H1")
-    records = paper.scan.records_for("kyvernisi.gr")
-    dates = paper.scan.scan_dates_in(period)
 
-    map_ = benchmark.pedantic(
-        lambda: build_deployment_map("kyvernisi.gr", records, period, dates),
+    ((_, map_),) = benchmark.pedantic(
+        lambda: build_domain_maps(paper.scan, "kyvernisi.gr", (period,)),
         rounds=5,
         iterations=1,
     )
@@ -42,7 +40,10 @@ def test_fig2_deployment_map(benchmark, paper):
     assert transient.ips == frozenset({"95.179.131.225"})
     assert transient.countries == frozenset({"NL"})
 
-    classification = classify(map_)
+    classification = classify_dataset(paper.scan, (period,))[
+        ("kyvernisi.gr", period.index)
+    ]
+    assert classification.map == map_
     assert classification.kind is PatternKind.TRANSIENT
     assert classification.subpatterns == (SubPattern.T1,)
 

@@ -1,8 +1,8 @@
 """Figure 3 — stable patterns S1-S4.
 
 Builds each canonical stable shape and verifies the classifier labels it
-stable with the right sub-pattern.  The benchmark measures classification
-over the four canonical maps.
+stable with the right sub-pattern.  The benchmark measures the
+deployment and classification kernels over the four canonical domains.
 """
 
 import sys
@@ -12,9 +12,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from helpers import PERIOD, ScanSketch, make_cert, scan_dates  # noqa: E402
-from repro.core.deployment import build_deployment_map  # noqa: E402
-from repro.core.patterns import classify  # noqa: E402
+from repro.core.patterns import classify_dataset  # noqa: E402
 from repro.core.types import PatternKind, SubPattern  # noqa: E402
+from repro.scan.dataset import ScanDataset  # noqa: E402
 
 from conftest import show  # noqa: E402
 
@@ -52,15 +52,14 @@ def canonical_stable_sketches():
 
 def test_fig3_stable_patterns(benchmark):
     sketches = canonical_stable_sketches()
-    maps = {
-        label: build_deployment_map(s.domain, s.records, PERIOD, DATES)
+    dataset = ScanDataset([r for s in sketches.values() for r in s.records], DATES)
+    classifications = benchmark.pedantic(
+        lambda: classify_dataset(dataset, (PERIOD,)), rounds=10, iterations=1
+    )
+    results = {
+        label: classifications[(s.domain, PERIOD.index)]
         for label, s in sketches.items()
     }
-
-    def classify_all():
-        return {label: classify(m) for label, m in maps.items()}
-
-    results = benchmark.pedantic(classify_all, rounds=10, iterations=1)
 
     lines = []
     for label, classification in results.items():

@@ -3,7 +3,8 @@
 The suspicious shapes: a brief foreign-AS deployment serving a NEW
 certificate (T1) or the victim's own STABLE certificate (T2, the proxy
 prelude).  Also checks the three-month threshold boundary that separates
-transients from transitions.
+transients from transitions.  The benchmark measures the deployment and
+classification kernels over the two canonical domains.
 """
 
 import sys
@@ -13,13 +14,17 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from helpers import PERIOD, ScanSketch, make_cert, scan_dates  # noqa: E402
-from repro.core.deployment import build_deployment_map  # noqa: E402
-from repro.core.patterns import classify  # noqa: E402
+from repro.scan.dataset import ScanDataset  # noqa: E402
+from repro.core.patterns import classify_dataset  # noqa: E402
 from repro.core.types import PatternKind, SubPattern  # noqa: E402
 
 from conftest import show  # noqa: E402
 
 DATES = scan_dates()
+
+
+def classify_sketch(sketch: ScanSketch):
+    return classify_dataset(sketch.dataset(), (PERIOD,))[(sketch.domain, PERIOD.index)]
 
 
 def canonical_transient_sketches():
@@ -42,15 +47,14 @@ def canonical_transient_sketches():
 
 def test_fig5_transient_patterns(benchmark):
     sketches = canonical_transient_sketches()
-    maps = {
-        label: build_deployment_map(s.domain, s.records, PERIOD, DATES)
+    dataset = ScanDataset([r for s in sketches.values() for r in s.records], DATES)
+    classifications = benchmark.pedantic(
+        lambda: classify_dataset(dataset, (PERIOD,)), rounds=10, iterations=1
+    )
+    results = {
+        label: classifications[(s.domain, PERIOD.index)]
         for label, s in sketches.items()
     }
-    results = benchmark.pedantic(
-        lambda: {label: classify(m) for label, m in maps.items()},
-        rounds=10,
-        iterations=1,
-    )
 
     lines = [
         f"{label}: kind={c.kind.value} subpatterns={[p.value for p in c.subpatterns]}"
@@ -71,8 +75,7 @@ def test_fig5_transient_patterns(benchmark):
         .presence(DATES, "10.2.0.1", 102, "US", stable)
         .presence(DATES[2:14], "203.0.113.7", 666, "NL", alien_short)
     )
-    map_ = build_deployment_map("c.com", at_threshold.records, PERIOD, DATES)
-    assert classify(map_).kind is PatternKind.TRANSIENT
+    assert classify_sketch(at_threshold).kind is PatternKind.TRANSIENT
 
     beyond = (
         ScanSketch("d.com")
@@ -80,6 +83,5 @@ def test_fig5_transient_patterns(benchmark):
         .presence(DATES[2:17], "203.0.113.8", 666, "NL",
                   make_cert("mail.d.com", 7, date(2019, 1, 10), issuer="Let's Encrypt"))
     )
-    map_ = build_deployment_map("d.com", beyond.records, PERIOD, DATES)
-    assert classify(map_).kind is not PatternKind.TRANSIENT
+    assert classify_sketch(beyond).kind is not PatternKind.TRANSIENT
     benchmark.extra_info["threshold_days"] = 91

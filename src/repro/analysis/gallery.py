@@ -13,11 +13,11 @@ from __future__ import annotations
 from datetime import date, timedelta
 from typing import Iterator
 
-from repro.core.deployment import build_deployment_map
-from repro.core.patterns import classify
+from repro.core.patterns import classify_dataset
 from repro.core.render import render_classification
 from repro.net.timeline import Period
 from repro.scan.annotate import AnnotatedScanRecord
+from repro.scan.dataset import ScanDataset
 from repro.tls.certificate import Certificate
 
 PERIOD = Period(index=0, start=date(2019, 1, 1), end=date(2019, 6, 30))
@@ -99,10 +99,12 @@ def render_gallery() -> str:
     """The full gallery as one renderable text block."""
     blocks: list[str] = []
     for title, domain, recs in gallery():
-        map_ = build_deployment_map(domain, recs, PERIOD, DATES)
+        classification = classify_dataset(ScanDataset(recs, DATES), (PERIOD,))[
+            (domain, PERIOD.index)
+        ]
         blocks.append(
             "\n".join(
-                ["=" * 78, title, "=" * 78, render_classification(classify(map_)), ""]
+                ["=" * 78, title, "=" * 78, render_classification(classification), ""]
             )
         )
     return "\n".join(blocks)

@@ -9,7 +9,7 @@ resolution behaviour.
 
 from __future__ import annotations
 
-from repro.core.deployment import build_deployment_map
+from repro.core.deployment import build_domain_maps
 from repro.net.names import is_sensitive_name
 from repro.net.timeline import Period
 from repro.pdns.database import PassiveDNSDatabase
@@ -39,9 +39,10 @@ def domain_features(
 ) -> list[float]:
     """Feature vector for one (domain, period)."""
     records = [r for r in scan.records_for(domain) if period.contains(r.scan_date)]
-    map_ = build_deployment_map(
-        domain, records, period, scan.scan_dates_in(period)
-    )
+    # No map means no visibility in the period: no deployments, presence 0.
+    maps = build_domain_maps(scan, domain, (period,))
+    deployments = maps[0][1].deployments if maps else []
+    presence = maps[0][1].presence if maps else 0.0
 
     certs = {r.certificate.fingerprint: r.certificate for r in records}
     issuers = {c.issuer for c in certs.values()}
@@ -60,9 +61,9 @@ def domain_features(
     )
 
     min_span = 183.0
-    for deployment in map_.deployments:
+    for deployment in deployments:
         min_span = min(min_span, float(deployment.span_days))
-    if not map_.deployments:
+    if not deployments:
         min_span = 0.0
 
     pdns_rows = pdns.query_domain(domain, period.interval())
@@ -75,14 +76,14 @@ def domain_features(
     max_ips = max((len(v) for v in per_scan_ips.values()), default=0)
 
     return [
-        float(len(map_.deployments)),
+        float(len(deployments)),
         float(len(asns)),
         float(len(countries)),
         float(len(certs)),
         float(len(issuers)),
         min_cert_age,
         1.0 if sensitive else 0.0,
-        map_.presence,
+        presence,
         min_span,
         float(short_rows),
         float(ns_values),

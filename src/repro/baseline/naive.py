@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.deployment import build_deployment_maps
-from repro.core.patterns import PatternConfig, classify
+from repro.core.patterns import PatternConfig, classify_dataset
 from repro.core.shortlist import ShortlistConfig, Shortlister
 from repro.core.types import PatternKind
 from repro.ipintel.as2org import AS2Org
@@ -48,11 +47,10 @@ def flag_all_transients(
     config: PatternConfig | None = None,
 ) -> NaiveResult:
     """Steps 1-2 only: every transient map is an incident."""
-    maps = build_deployment_maps(scan, periods)
     flagged = frozenset(
         domain
-        for (domain, _), map_ in maps.items()
-        if classify(map_, config).kind is PatternKind.TRANSIENT
+        for (domain, _), classification in classify_dataset(scan, periods, config).items()
+        if classification.kind is PatternKind.TRANSIENT
     )
     return NaiveResult(method="all-transients", flagged=flagged)
 
@@ -65,11 +63,10 @@ def flag_shortlisted(
     shortlist_config: ShortlistConfig | None = None,
 ) -> NaiveResult:
     """Steps 1-3: the shortlist without pDNS/CT corroboration."""
-    maps = build_deployment_maps(scan, periods)
-    classifications = {
-        key: classify(map_, pattern_config) for key, map_ in maps.items()
-    }
-    entries, _decisions = Shortlister(as2org, shortlist_config).evaluate(classifications)
+    classifications = classify_dataset(scan, periods, pattern_config)
+    entries, _decisions = Shortlister(as2org, scan, shortlist_config).evaluate(
+        classifications
+    )
     return NaiveResult(
         method="shortlist-only", flagged=frozenset(e.domain for e in entries)
     )

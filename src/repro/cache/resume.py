@@ -14,8 +14,8 @@ record of which shards finished, and it lets ``repro-hunt`` report how
 much of an interrupted sweep is already banked without decoding any
 entries.
 
-Writes are atomic (temp file + ``os.replace``), matching the cache
-store: a crash mid-update leaves the previous complete manifest, never a
+Writes are atomic (:func:`repro.atomic.atomic_write`), matching the
+cache store: a crash mid-update leaves the previous complete manifest, never a
 torn one.  A manifest that fails to parse is treated as absent — the
 shard entries themselves are still found by key, so resume correctness
 never depends on this file.
@@ -24,10 +24,10 @@ never depends on this file.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Any
+
+from repro.atomic import atomic_write
 
 MANIFEST_SCHEMA = "repro.cache.resume-manifest/1"
 
@@ -98,17 +98,8 @@ class ResumeManifest:
         path = self._path(fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
         blob = json.dumps(data, sort_keys=True, indent=1).encode("utf-8")
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with atomic_write(path) as handle:
+            handle.write(blob)
 
 
 __all__ = ["MANIFEST_SCHEMA", "ResumeManifest"]

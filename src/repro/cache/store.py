@@ -13,10 +13,10 @@ writes, bit flips, foreign files) a detectable *miss*: a bad entry is
 evicted and the stage recomputed, never a crash or — worse — a silently
 wrong report.
 
-Writes are atomic (temp file + ``os.replace``), so a crashed run leaves
-either a complete entry or none.  Reads touch the entry's mtime, which
-is what :meth:`StageCache.gc` orders its least-recently-used eviction
-by.
+Writes are atomic (:func:`repro.atomic.atomic_write`), so a crashed run
+leaves either a complete entry or none.  Reads touch the entry's mtime,
+which is what :meth:`StageCache.gc` orders its least-recently-used
+eviction by.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.atomic import atomic_write
 from repro.exec.metrics import StageStats
 
 _MAGIC = b"repro-cache/1\n"
@@ -141,19 +141,8 @@ class StageCache:
         blob = _MAGIC + checksum.encode("ascii") + b"\n" + payload
         path = self._path(fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{fingerprint[:8]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with atomic_write(path) as handle:
+            handle.write(blob)
         self.counters.stores += 1
         self.counters.bytes_written += len(blob)
         return len(blob)

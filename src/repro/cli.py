@@ -860,14 +860,18 @@ def _cmd_epoch(args: argparse.Namespace) -> int:
         logger.info("run manifest written to %s", args.profile)
 
     # Bank the applied delta so the next apply (and a cold full replay)
-    # reconstructs the same merged state.
+    # reconstructs the same merged state.  Both writes are atomic: a kill
+    # mid-write leaves the epoch history as it was, never truncated.
     import shutil
+
+    from repro.atomic import atomic_write
 
     deltas_dir = directory / "deltas"
     deltas_dir.mkdir(parents=True, exist_ok=True)
     digest = delta.digest()
     filename = f"epoch-{len(state['epochs']) + 1:04d}-{digest[:12]}.delta"
-    shutil.copyfile(args.delta, deltas_dir / filename)
+    with open(args.delta, "rb") as source, atomic_write(deltas_dir / filename) as target:
+        shutil.copyfileobj(source, target)
     state["epochs"].append(
         {
             "epoch": delta.epoch,
@@ -882,9 +886,8 @@ def _cmd_epoch(args: argparse.Namespace) -> int:
             "seeded": stats.get("seeded", False),
         }
     )
-    (directory / "epochs.json").write_text(
-        json.dumps(state, indent=2, sort_keys=True) + "\n"
-    )
+    with atomic_write(directory / "epochs.json") as handle:
+        handle.write((json.dumps(state, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     logger.info("epoch recorded in %s", directory / "epochs.json")
     _write_trace(tracer, args)
     return 0

@@ -27,12 +27,10 @@ from repro.core.deployment import (
     Deployment,
     DeploymentGroup,
     DeploymentMap,
-    build_deployment_map,
-    build_deployment_maps,
     build_domain_maps,
 )
 from repro.core.inspection import InspectionConfig, Inspector
-from repro.core.patterns import Classification, PatternConfig, classify
+from repro.core.patterns import Classification, PatternConfig, classify_dataset
 from repro.core.pipeline import (
     HijackPipeline,
     PipelineConfig,
@@ -49,14 +47,12 @@ __all__ = [
     "Deployment",
     "DeploymentGroup",
     "DeploymentMap",
-    "build_deployment_map",
-    "build_deployment_maps",
     "build_domain_maps",
     "InspectionConfig",
     "Inspector",
     "Classification",
     "PatternConfig",
-    "classify",
+    "classify_dataset",
     "HijackPipeline",
     "PipelineConfig",
     "PipelineInputs",

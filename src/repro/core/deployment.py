@@ -8,23 +8,16 @@ all deployments of a domain within one six-month period form its
 deployments, so a provider that disappears for months and returns reads
 as two events rather than one continuous deployment.
 
-Two construction paths exist:
-
-* the **columnar kernel** (:func:`encode_domain_maps` +
-  :func:`decode_domain_maps`, wrapped by :func:`build_domain_maps`)
-  clusters directly over the dataset's
-  :class:`~repro.scan.table.ScanTable` column slices — each period is a
-  bisect-found contiguous CSR slice, cells aggregate interned integer
-  ids, and the result is a compact int-tuple *encoded* form that worker
-  results and cache entries ship instead of object graphs;
-* the **row path** (:func:`build_deployment_map`) takes explicit record
-  lists — the original reference algorithm, still the API for callers
-  holding loose records (the gallery, the baseline features) and the
-  oracle the differential property tests compare the columnar kernel
-  against.  The pipeline never runs it.
-
-Both are required to produce identical maps (group partition, ordering,
-and ``map.records``) for any dataset.
+Maps are built by one columnar kernel in two halves:
+:func:`encode_domain_maps_at` clusters a domain's deployments directly
+over the dataset's :class:`~repro.scan.table.ScanTable` column slices —
+each period is a bisect-found contiguous CSR slice, cells aggregate
+interned integer ids, and the result is a compact int-tuple *encoded*
+form that worker results and cache entries ship instead of object
+graphs — and :func:`decode_domain_maps` materializes the object maps
+from it.  :func:`build_domain_maps` runs both halves for one domain.
+The row-at-a-time reference algorithm the differential property tests
+compare the kernel against lives in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -34,7 +27,6 @@ from datetime import date
 from functools import cached_property
 
 from repro.net.timeline import DateInterval, Period
-from repro.scan.annotate import AnnotatedScanRecord
 from repro.scan.dataset import ScanDataset
 
 
@@ -85,8 +77,7 @@ class Deployment:
     The union views (``ips``, ``cert_fingerprints``, ``countries``) and
     ``interval`` are cached on first access: classification, the
     shortlist checks, and inspection all hit them repeatedly, and a
-    deployment's groups are fixed once clustering assembled it.  Call
-    :meth:`invalidate` after mutating ``groups`` by hand.
+    deployment's groups are fixed once clustering assembled it.
     """
 
     domain: str
@@ -125,11 +116,6 @@ class Deployment:
     def interval(self) -> DateInterval:
         return DateInterval(self.first_seen, self.last_seen)
 
-    def invalidate(self) -> None:
-        """Drop the cached union views after a manual ``groups`` edit."""
-        for name in ("ips", "cert_fingerprints", "countries", "interval"):
-            self.__dict__.pop(name, None)
-
     def dates(self) -> tuple[date, ...]:
         return tuple(g.scan_date for g in self.groups)
 
@@ -142,7 +128,6 @@ class DeploymentMap:
     period: Period
     deployments: list[Deployment]
     scan_dates_in_period: tuple[date, ...]
-    records: list[AnnotatedScanRecord] = field(default_factory=list, repr=False)
 
     @property
     def visible_dates(self) -> tuple[date, ...]:
@@ -165,94 +150,6 @@ class DeploymentMap:
 
     def __len__(self) -> int:
         return len(self.deployments)
-
-
-def _cluster(
-    domain: str,
-    groups: list[DeploymentGroup],
-    scan_dates: tuple[date, ...],
-    max_gap_scans: int,
-) -> list[Deployment]:
-    """Cluster same-ASN groups, splitting on gaps > ``max_gap_scans``."""
-    index_of = {d: i for i, d in enumerate(scan_dates)}
-    by_asn: dict[int, list[DeploymentGroup]] = {}
-    for group in groups:
-        by_asn.setdefault(group.asn, []).append(group)
-
-    deployments: list[Deployment] = []
-    for asn, asn_groups in by_asn.items():
-        asn_groups.sort(key=lambda g: g.scan_date)
-        current = Deployment(domain=domain, asn=asn, groups=[asn_groups[0]])
-        for group in asn_groups[1:]:
-            gap = index_of[group.scan_date] - index_of[current.groups[-1].scan_date]
-            if gap > max_gap_scans:
-                deployments.append(current)
-                current = Deployment(domain=domain, asn=asn, groups=[group])
-            else:
-                current.groups.append(group)
-        deployments.append(current)
-    deployments.sort(key=lambda d: (d.first_seen, d.asn))
-    return deployments
-
-
-def build_deployment_map(
-    domain: str,
-    records: list[AnnotatedScanRecord],
-    period: Period,
-    scan_dates_in_period: tuple[date, ...],
-    max_gap_scans: int = 6,
-    with_records: bool = True,
-) -> DeploymentMap:
-    """Build one domain's deployment map for one period (row path).
-
-    This is the reference row-at-a-time algorithm over explicit record
-    lists; dataset-wide construction goes through the columnar kernel
-    (:func:`build_domain_maps`), which must produce identical maps.
-
-    ``with_records=False`` leaves ``map.records`` empty — callers then
-    restore the raw records with :func:`attach_period_records`.
-    """
-    in_period = [r for r in records if period.contains(r.scan_date)]
-    cells: dict[tuple[date, int], dict[str, set]] = {}
-    for record in in_period:
-        cell = cells.setdefault(
-            (record.scan_date, record.asn), {"ips": set(), "certs": set(), "ccs": set()}
-        )
-        cell["ips"].add(record.ip)
-        cell["certs"].add(record.certificate.fingerprint)
-        cell["ccs"].add(record.country)
-
-    groups = [
-        DeploymentGroup(
-            domain=domain,
-            scan_date=scan_date,
-            asn=asn,
-            ips=frozenset(cell["ips"]),
-            cert_fingerprints=frozenset(cell["certs"]),
-            countries=frozenset(cell["ccs"]),
-        )
-        for (scan_date, asn), cell in cells.items()
-    ]
-    deployments = _cluster(domain, groups, scan_dates_in_period, max_gap_scans)
-    return DeploymentMap(
-        domain=domain,
-        period=period,
-        deployments=deployments,
-        scan_dates_in_period=scan_dates_in_period,
-        records=in_period if with_records else [],
-    )
-
-
-def attach_period_records(map_: DeploymentMap, dataset: ScanDataset) -> None:
-    """Restore ``map.records`` on a map built with ``with_records=False``.
-
-    Produces the exact list ``build_deployment_map`` would have attached:
-    the domain's records filtered to the map's period, in dataset order —
-    one bisect-found contiguous CSR slice of the columnar table.
-    """
-    table = dataset.table
-    lo, hi = table.period_slice(map_.domain, map_.period.start, map_.period.end)
-    map_.records = [table.record(table.csr_rows[i]) for i in range(lo, hi)]
 
 
 # -- the columnar kernel and its compact encoded form --------------------------
@@ -350,8 +247,7 @@ def encode_domain_maps_at(
         rows = table.csr_rows[lo:hi].tolist()
         ordinals = table.csr_dates[lo:hi].tolist()
         index_of = {d.toordinal(): i for i, d in enumerate(dates_in_period)}
-        # by_asn keys appear in first-appearance order over the slice —
-        # the same insertion order the row path's cell dict produces —
+        # by_asn keys appear in first-appearance order over the slice,
         # and each ASN's (scan_index, content) cells are date-ordered by
         # construction.
         by_asn: dict[int, list[tuple[int, tuple]]] = {}
@@ -412,8 +308,8 @@ def encode_domain_maps_at(
                 previous_index = scan_index
             runs.append((tuple(indices),) + current)
             deployments.append((first_index, asn, asn_id, tuple(runs)))
-        # The row path orders deployments by (first_seen, asn *value*);
-        # scan indices are monotone in scan date, so the key matches.
+        # Deployments order by (first_seen, asn *value*); scan indices
+        # are monotone in scan date, so they stand in for first_seen.
         deployments.sort(key=lambda d: (d[0], d[1]))
         encoded.append(
             (
@@ -429,7 +325,6 @@ def decode_domain_maps(
     encoded: EncodedDomainMaps,
     dataset: ScanDataset,
     periods: tuple[Period, ...],
-    with_records: bool = True,
 ) -> list[tuple[tuple[str, int], DeploymentMap]]:
     """Materialize object maps from the encoded form via the table pools.
 
@@ -474,8 +369,6 @@ def decode_domain_maps(
             deployments=deployments,
             scan_dates_in_period=dates_in_period,
         )
-        if with_records:
-            attach_period_records(map_, dataset)
         maps.append(((domain, period_index), map_))
     return maps
 
@@ -484,34 +377,13 @@ def build_domain_maps(
     dataset: ScanDataset,
     domain: str,
     periods: tuple[Period, ...],
-    max_gap_scans: int = 6,
-    with_records: bool = True,
 ) -> list[tuple[tuple[str, int], DeploymentMap]]:
     """Build one domain's maps across all periods, keyed (domain, index).
 
-    This is the per-domain unit of work the execution backends shard:
-    it touches only the one domain's column slices, so any partition of
-    the domain set rebuilds exactly :func:`build_deployment_maps`.
+    Periods with no scan dates (or in which the domain never appears)
+    produce no map, mirroring the paper: a deployment map exists only
+    for domains with a publicly visible certificate in that period.
     """
-    encoded = encode_domain_maps(dataset, domain, periods, max_gap_scans)
     return decode_domain_maps(
-        domain, encoded, dataset, periods, with_records=with_records
+        domain, encode_domain_maps(dataset, domain, periods), dataset, periods
     )
-
-
-def build_deployment_maps(
-    dataset: ScanDataset,
-    periods: tuple[Period, ...],
-    max_gap_scans: int = 6,
-) -> dict[tuple[str, int], DeploymentMap]:
-    """Build maps for every (domain, period) with any scan visibility.
-
-    Keys are (domain, period.index).  Periods with no scan dates (or in
-    which the domain never appears) produce no map, mirroring the paper:
-    a deployment map exists only for domains with a publicly visible
-    certificate in that period.
-    """
-    maps: dict[tuple[str, int], DeploymentMap] = {}
-    for domain in dataset.domains():
-        maps.update(build_domain_maps(dataset, domain, periods, max_gap_scans))
-    return maps

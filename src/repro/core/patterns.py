@@ -15,9 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.deployment import Deployment, DeploymentMap
+from repro.core.deployment import (
+    Deployment,
+    DeploymentMap,
+    EncodedDomainMaps,
+    decode_domain_maps,
+    encode_domain_maps_at,
+)
 from repro.core.types import PatternKind, SubPattern
-from repro.net.timeline import TRANSIENT_MAX_DAYS
+from repro.net.timeline import TRANSIENT_MAX_DAYS, Period
+from repro.scan.dataset import ScanDataset
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,139 +78,6 @@ class Classification:
         return frozenset().union(*(d.countries for d in self.stable))
 
 
-def _spans_start(deployment: Deployment, visible: tuple, edge_scans: int) -> bool:
-    return deployment.first_seen <= visible[min(edge_scans, len(visible) - 1)]
-
-def _spans_end(deployment: Deployment, visible: tuple, edge_scans: int) -> bool:
-    return deployment.last_seen >= visible[max(-1 - edge_scans, -len(visible))]
-
-
-def _stable_subpatterns(stable: list[Deployment]) -> list[SubPattern]:
-    """Which of Figure 3's shapes does the stable background exhibit?"""
-    subpatterns: list[SubPattern] = []
-    for deployment in stable:
-        certs_by_date: list[frozenset[str]] = [g.cert_fingerprints for g in deployment.groups]
-        all_certs = deployment.cert_fingerprints
-        multi_country = len(deployment.countries) > 1
-        if len(all_certs) == 1:
-            subpatterns.append(SubPattern.S3 if multi_country else SubPattern.S1)
-            continue
-        # Multiple certificates: rollover (S2) when at most a short overlap
-        # between consecutive certificates; otherwise an added certificate
-        # on the same infrastructure (S4).
-        overlap_scans = sum(1 for certs in certs_by_date if len(certs) > 1)
-        if overlap_scans <= 2:
-            subpatterns.append(SubPattern.S2)
-        else:
-            subpatterns.append(SubPattern.S4)
-        if multi_country:
-            subpatterns.append(SubPattern.S3)
-    return subpatterns
-
-
-def _transition_subpattern(
-    transition: Deployment, stable: list[Deployment], visible: tuple, edge_scans: int
-) -> SubPattern:
-    """Which of Figure 4's shapes is this transition?"""
-    new_certs = transition.cert_fingerprints
-    for old in stable:
-        if old.asn == transition.asn:
-            continue
-        old_runs_to_end = _spans_end(old, visible, edge_scans)
-        if old_runs_to_end:
-            shares_cert = bool(new_certs & old.cert_fingerprints)
-            return SubPattern.X1 if shares_cert else SubPattern.X2
-    return SubPattern.X3
-
-
-def classify(map_: DeploymentMap, config: PatternConfig | None = None) -> Classification:
-    """Classify one deployment map."""
-    config = config or PatternConfig()
-    visible = map_.visible_dates
-    if not visible:
-        return Classification(map_, PatternKind.NO_DATA, ())
-
-    stable: list[Deployment] = []
-    transitions: list[Deployment] = []
-    transients: list[Deployment] = []
-    for deployment in map_.deployments:
-        starts = _spans_start(deployment, visible, config.edge_scans)
-        ends = _spans_end(deployment, visible, config.edge_scans)
-        if starts and ends and deployment.scan_count >= config.stable_min_scans:
-            stable.append(deployment)
-        elif ends and not starts:
-            transitions.append(deployment)
-        elif deployment.span_days <= config.transient_max_days:
-            transients.append(deployment)
-        else:
-            # Long-lived but neither edge-spanning nor short: treat as a
-            # transition that also ended (an X3 whose old deployment this
-            # is, or generally unstable behaviour).
-            transitions.append(deployment)
-
-    subpatterns: list[SubPattern] = []
-    if not stable:
-        # An X3 migration has no single edge-to-edge deployment: accept the
-        # special case of exactly one early deployment handing off to one
-        # late deployment with minimal overlap.
-        if len(map_.deployments) == 2:
-            first, second = sorted(map_.deployments, key=lambda d: d.first_seen)
-            # The paper allows a small overlap between old and new (the
-            # shaded region of Figure 4), so only edge coverage matters —
-            # but both halves must be substantial: for a domain visible in
-            # a handful of scans, "spans the edges" is trivially true and
-            # says nothing.
-            handoff = (
-                _spans_start(first, visible, config.edge_scans)
-                and _spans_end(second, visible, config.edge_scans)
-                and first.scan_count >= config.stable_min_scans
-                and second.scan_count >= config.stable_min_scans
-                and len(visible) >= 4 * config.stable_min_scans
-            )
-            if handoff:
-                # Neither half is a *stable* background (the old one ends,
-                # the new one starts mid-period); report both as the
-                # transition pair.
-                return Classification(
-                    map_, PatternKind.TRANSITION, (SubPattern.X3,),
-                    transitions=[first, second],
-                )
-        if len(map_.deployments) >= config.noisy_min_deployments:
-            return Classification(
-                map_, PatternKind.NOISY, (), transients=list(map_.deployments)
-            )
-        # A single short-lived deployment with nothing else: too little
-        # signal to call anything; the paper's "too noisy or unstable".
-        return Classification(map_, PatternKind.NOISY, (), transients=list(map_.deployments))
-
-    if transients:
-        stable_certs = frozenset().union(*(d.cert_fingerprints for d in stable))
-        for transient in transients:
-            if transient.cert_fingerprints <= stable_certs:
-                subpatterns.append(SubPattern.T2)
-            else:
-                subpatterns.append(SubPattern.T1)
-        return Classification(
-            map_, PatternKind.TRANSIENT, tuple(dict.fromkeys(subpatterns)),
-            stable=stable, transitions=transitions, transients=transients,
-        )
-
-    if transitions:
-        for transition in transitions:
-            subpatterns.append(
-                _transition_subpattern(transition, stable, visible, config.edge_scans)
-            )
-        return Classification(
-            map_, PatternKind.TRANSITION, tuple(dict.fromkeys(subpatterns)),
-            stable=stable, transitions=transitions,
-        )
-
-    subpatterns = _stable_subpatterns(stable)
-    return Classification(
-        map_, PatternKind.STABLE, tuple(dict.fromkeys(subpatterns)), stable=stable
-    )
-
-
 def transient_subpattern_of(classification: Classification, transient: Deployment) -> SubPattern:
     """T1 or T2 for a specific transient deployment within a map."""
     stable_certs = classification.stable_cert_fingerprints()
@@ -235,16 +109,16 @@ def classify_encoded(
 ) -> EncodedClassification:
     """Classify one period's encoded deployments in interned-id space.
 
-    Mirrors :func:`classify` over the compact
-    :data:`~repro.core.deployment.EncodedDeployment` wire form instead
-    of the decoded object map: scan-calendar indices stand in for dates
-    (the mapping is monotone, so every edge comparison agrees), pool ids
-    stand in for ASN/certificate/country values (the interning bijection
-    preserves every equality and subset test), and ``date_ords`` — the
-    period's scan-date ordinals — supplies the one genuinely calendar
-    quantity, the transient span in days.  The wire form doubles as the
-    classification stage's cache product; :func:`decode_classification`
-    materializes the object view against the decoded map.
+    Works on the compact :data:`~repro.core.deployment.EncodedDeployment`
+    wire form, not the decoded object map: scan-calendar indices stand
+    in for dates (the mapping is monotone, so every edge comparison
+    agrees), pool ids stand in for ASN/certificate/country values (the
+    interning bijection preserves every equality and subset test), and
+    ``date_ords`` — the period's scan-date ordinals — supplies the one
+    genuinely calendar quantity, the transient span in days.  The wire
+    form doubles as the classification stage's cache product;
+    :func:`decode_classification` materializes the object view against
+    the decoded map.
     """
     config = config or PatternConfig()
     # Per-deployment digests: (first_index, last_index, scan_count,
@@ -282,10 +156,18 @@ def classify_encoded(
         elif date_ords[last_index] - date_ords[first_index] + 1 <= config.transient_max_days:
             transients.append(pos)
         else:
+            # Long-lived but neither edge-spanning nor short: a transition
+            # that also ended (or generally unstable behaviour).
             transitions.append(pos)
 
     subpatterns: list[int] = []
     if not stable:
+        # An X3 migration has no single edge-to-edge deployment: accept
+        # exactly one early deployment handing off to one late one.  The
+        # paper allows a small overlap (Figure 4's shaded region), so only
+        # edge coverage matters — but both halves must be substantial: for
+        # a domain visible in a handful of scans, "spans the edges" is
+        # trivially true and says nothing.
         if len(enc_deployments) == 2:
             early, late = sorted(range(2), key=lambda p: digests[p][0])
             handoff = (
@@ -368,6 +250,9 @@ def classify_encoded(
                 SUBPATTERN_CODE[SubPattern.S3 if multi_country else SubPattern.S1]
             )
             continue
+        # Multiple certificates: rollover (S2) when consecutive
+        # certificates overlap briefly; otherwise an added certificate on
+        # the same infrastructure (S4).
         subpatterns.append(
             SUBPATTERN_CODE[SubPattern.S2 if overlap_scans <= 2 else SubPattern.S4]
         )
@@ -396,3 +281,50 @@ def decode_classification(
         transitions=[deployments[pos] for pos in transition_pos],
         transients=[deployments[pos] for pos in transient_pos],
     )
+
+
+def scan_date_ordinals(
+    dataset: ScanDataset, periods: tuple[Period, ...]
+) -> dict[int, tuple[int, ...]]:
+    """``period.index`` -> the period's scan-date ordinals, the calendar
+    :func:`classify_encoded` reads transient spans from."""
+    return {
+        period.index: tuple(d.toordinal() for d in dataset.scan_dates_in(period))
+        for period in periods
+    }
+
+
+def classify_domain_encoded(
+    encoded_maps: EncodedDomainMaps,
+    date_ords: dict[int, tuple[int, ...]],
+    config: PatternConfig | None = None,
+) -> tuple[tuple[int, EncodedClassification], ...]:
+    """Classify one domain's encoded maps: ``(period_index, encoded
+    classification)`` per map, in the maps' order."""
+    return tuple(
+        (period_index, classify_encoded(enc_deployments, date_ords[period_index], config))
+        for period_index, enc_deployments in encoded_maps
+    )
+
+
+def classify_dataset(
+    dataset: ScanDataset,
+    periods: tuple[Period, ...],
+    config: PatternConfig | None = None,
+) -> dict[tuple[str, int], Classification]:
+    """Steps 1–2 over a whole dataset, serially: the deployment and
+    classification kernels the pipeline runs, decoded to objects.
+
+    Keys are ``(domain, period.index)``; a (domain, period) with no scan
+    visibility has no map and so no classification.
+    """
+    date_ords = scan_date_ordinals(dataset, periods)
+    classifications: dict[tuple[str, int], Classification] = {}
+    for index, domain in enumerate(dataset.domains()):
+        encoded = encode_domain_maps_at(dataset, index, periods)
+        maps = decode_domain_maps(domain, encoded, dataset, periods)
+        for (key, map_), (_, enc_classification) in zip(
+            maps, classify_domain_encoded(encoded, date_ords, config)
+        ):
+            classifications[key] = decode_classification(map_, enc_classification)
+    return classifications

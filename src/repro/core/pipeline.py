@@ -359,7 +359,7 @@ class DeploymentMapStage(Stage):
         # The kernel sweeps domain ordinals (shards pickle as ``range``
         # slices) and ships the compact int-tuple encoding — pool ids
         # over the shared scan table, not object graphs; materialize the
-        # map objects (and their raw records) here against the parent table.
+        # map objects here against the parent table.
         per_domain = backend.map("deployment", range(len(domains)))
         # Index the pool only for domains that mapped to something:
         # enumerate keeps the sweep over a million-domain population from
@@ -472,10 +472,7 @@ class ShortlistStage(Stage):
 
     def run(self, ctx: HuntContext, backend: ExecutionBackend) -> StageStats:
         shortlister = Shortlister(
-            ctx.inputs.as2org,
-            ctx.config.shortlist,
-            known_missing=ctx.inputs.scan.known_missing_dates,
-            dataset=ctx.inputs.scan,
+            ctx.inputs.as2org, ctx.inputs.scan, ctx.config.shortlist
         )
         ctx.shortlist, ctx.decisions = shortlister.evaluate(ctx.classifications)
         n_transient = sum(

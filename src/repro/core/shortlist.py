@@ -18,8 +18,7 @@ Four pruning checks, then the keep rule:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import date
-from typing import TYPE_CHECKING, Collection
+from typing import TYPE_CHECKING
 
 from repro.core.deployment import Deployment, DeploymentMap
 from repro.core.patterns import (
@@ -55,12 +54,10 @@ class ShortlistEntry:
     truly_anomalous: bool
     sensitive_names: tuple[str, ...]
     transient_records: list[AnnotatedScanRecord]
-    #: Scan-table row ids behind ``transient_records`` when the columnar
-    #: path produced them (None on the row-at-a-time reference path).
-    #: Excluded from equality: the two paths must compare equal.
-    transient_rows: tuple[int, ...] | None = field(
-        default=None, compare=False, repr=False
-    )
+    #: Scan-table row ids behind ``transient_records`` (the wire form's
+    #: evidence reference).  Excluded from equality: entries compare by
+    #: the records themselves.
+    transient_rows: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def transient_ips(self) -> frozenset[str]:
@@ -87,22 +84,17 @@ class Shortlister:
     def __init__(
         self,
         as2org: AS2Org,
+        dataset: ScanDataset,
         config: ShortlistConfig | None = None,
-        known_missing: Collection[date] = (),
-        dataset: ScanDataset | None = None,
     ) -> None:
         self._as2org = as2org
-        self._config = config or ShortlistConfig()
-        # Scan dates the collector is known to have lost (telemetry gaps,
-        # injected faults): excluded from the visibility denominator so a
-        # missing scan is not mistaken for the domain going dark.
-        self._known_missing = frozenset(known_missing)
-        # With the scan dataset attached, transient evidence rows come
-        # from bisect slices of its columnar table instead of filtering
-        # the map's record list, and sensitive-name screening memoizes
-        # per interned SAN set; without it the row-at-a-time reference
-        # below answers (the differential suites compare the two).
+        # Transient evidence rows are bisect slices of the dataset's
+        # columnar table, and its known-missing scans (telemetry gaps,
+        # injected faults) leave the visibility denominator, so a lost
+        # scan is not mistaken for the domain going dark.
         self._dataset = dataset
+        self._config = config or ShortlistConfig()
+        # Sensitive-name screening memoizes per interned SAN set.
         self._sensitive_memo: dict[int, tuple[str, ...]] = {}
 
     # -- individual checks ---------------------------------------------------
@@ -118,31 +110,10 @@ class Shortlister:
         return bool(transient.countries & stable_ccs)
 
     def low_visibility(self, map_: DeploymentMap) -> bool:
-        if not self._known_missing:
-            return map_.presence < self._config.min_presence
-        observed = [
-            d for d in map_.scan_dates_in_period if d not in self._known_missing
-        ]
+        observed = self._dataset.observed_dates_in(map_.period)
         if not observed:
             return True  # every scan of the period was lost: cannot judge
         return len(map_.visible_dates) / len(observed) < self._config.min_presence
-
-    def chronically_transient(
-        self,
-        domain: str,
-        classifications: dict[tuple[str, int], Classification],
-    ) -> bool:
-        """Similar transients in >= N consecutive six-month periods."""
-        indices = sorted(
-            idx
-            for (d, idx), c in classifications.items()
-            if d == domain and c.kind is PatternKind.TRANSIENT
-        )
-        run = best = 1 if indices else 0
-        for previous, current in zip(indices, indices[1:]):
-            run = run + 1 if current == previous + 1 else 1
-            best = max(best, run)
-        return best >= self._config.recurring_periods
 
     @staticmethod
     def truly_anomalous(
@@ -162,24 +133,12 @@ class Shortlister:
 
     # -- the full shortlist --------------------------------------------------
 
-    def _transient_records(
-        self, classification: Classification, transient: Deployment
-    ) -> list[AnnotatedScanRecord]:
-        dates = set(transient.dates())
-        return [
-            r
-            for r in classification.map.records
-            if r.scan_date in dates
-            and r.asn == transient.asn
-            and r.ip in transient.ips
-        ]
-
     def _transient_rows(
         self, classification: Classification, transient: Deployment
     ) -> tuple[int, ...]:
-        """Columnar mirror of :meth:`_transient_records`: the matching
-        scan-table row ids, in the same (date, ip)-sorted CSR order the
-        map's record list carries."""
+        """The scan-table row ids behind a transient: the domain's rows in
+        the transient's scan dates, ASN and IPs, in (date, ip)-sorted CSR
+        order."""
         table = self._dataset.table
         map_ = classification.map
         lo, hi = table.period_slice(map_.domain, map_.period.start, map_.period.end)
@@ -200,8 +159,9 @@ class Shortlister:
         return tuple(rows)
 
     def _sensitive_from_rows(self, rows: tuple[int, ...]) -> tuple[str, ...]:
-        """Columnar mirror of :meth:`_sensitive_trusted_names`, memoized
-        per interned SAN-set id (the screen is a pure name predicate)."""
+        """Sensitive names on the rows' browser-trusted certificates, in
+        first-seen order, memoized per interned SAN-set id (the screen is
+        a pure name predicate)."""
         table = self._dataset.table
         names: list[str] = []
         names_id, name_sets = table.names_id, table.name_sets
@@ -218,16 +178,6 @@ class Shortlister:
             names.extend(sensitive)
         return tuple(dict.fromkeys(names))
 
-    def _sensitive_trusted_names(
-        self, classification: Classification, transient: Deployment
-    ) -> tuple[str, ...]:
-        names: list[str] = []
-        for record in self._transient_records(classification, transient):
-            if not record.trusted:
-                continue
-            names.extend(n for n in record.names if is_sensitive_name(n))
-        return tuple(dict.fromkeys(names))
-
     def evaluate(
         self,
         classifications: dict[tuple[str, int], Classification],
@@ -235,12 +185,10 @@ class Shortlister:
         """Shortlist every transient deployment across all maps."""
         entries: list[ShortlistEntry] = []
         decisions: list[PruneDecision] = []
-        columnar = self._dataset is not None
+        table = self._dataset.table
 
-        # One pass indexes every domain's transient periods so the
-        # recurring-transient check stops rescanning the whole table per
-        # candidate (the sorted-subset order matches the per-domain
-        # comprehension it replaces).
+        # One pass indexes every domain's transient periods, so the
+        # recurring-transient check never rescans the whole table.
         transient_periods: dict[str, list[int]] = {}
         for (domain, period_index), classification in classifications.items():
             if classification.kind is PatternKind.TRANSIENT:
@@ -276,16 +224,11 @@ class Shortlister:
                     prune("same-country")
                     continue
                 anomalous = self.truly_anomalous(domain, period_index, classifications)
-                if columnar:
-                    rows = self._transient_rows(classification, transient)
-                    sensitive = self._sensitive_from_rows(rows)
-                else:
-                    rows = None
-                    sensitive = self._sensitive_trusted_names(classification, transient)
+                rows = self._transient_rows(classification, transient)
+                sensitive = self._sensitive_from_rows(rows)
                 if not sensitive and not anomalous:
                     prune("no-sensitive-name")
                     continue
-                table = self._dataset.table if columnar else None
                 entries.append(
                     ShortlistEntry(
                         domain=domain,
@@ -295,11 +238,7 @@ class Shortlister:
                         subpattern=transient_subpattern_of(classification, transient),
                         truly_anomalous=anomalous,
                         sensitive_names=sensitive,
-                        transient_records=(
-                            [table.record(row) for row in rows]
-                            if columnar
-                            else self._transient_records(classification, transient)
-                        ),
+                        transient_records=[table.record(row) for row in rows],
                         transient_rows=rows,
                     )
                 )

@@ -152,31 +152,15 @@ def _classify_kernel(items: list) -> list:
     tuple.  Nothing is decoded: the classifier compares scan-calendar
     indices and pool ids directly (see ``classify_encoded``), and the
     only calendar quantity — the transient span in days — reads from the
-    period's scan-date ordinals, memoized per period across the chunk.
+    periods' scan-date ordinals, computed once per chunk.
     """
-    from repro.core.patterns import classify_encoded
+    from repro.core.patterns import classify_domain_encoded, scan_date_ordinals
 
-    by_index = {p.index: p for p in _INPUTS.periods}
-    date_ords: dict[int, tuple[int, ...]] = {}
-    results = []
-    for _domain, encoded_maps in items:
-        per_domain = []
-        for period_index, enc_deployments in encoded_maps:
-            ords = date_ords.get(period_index)
-            if ords is None:
-                ords = tuple(
-                    d.toordinal()
-                    for d in _INPUTS.scan.scan_dates_in(by_index[period_index])
-                )
-                date_ords[period_index] = ords
-            per_domain.append(
-                (
-                    period_index,
-                    classify_encoded(enc_deployments, ords, _CONFIG.patterns),
-                )
-            )
-        results.append(tuple(per_domain))
-    return results
+    date_ords = scan_date_ordinals(_INPUTS.scan, _INPUTS.periods)
+    return [
+        classify_domain_encoded(encoded_maps, date_ords, _CONFIG.patterns)
+        for _domain, encoded_maps in items
+    ]
 
 
 @kernel("inspect")

@@ -41,12 +41,12 @@ import hashlib
 import json
 import logging
 import os
-import tempfile
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable
 
+from repro.atomic import atomic_write
 from repro.io.golden import canonical_json
 
 if TYPE_CHECKING:
@@ -338,17 +338,8 @@ class RunLedger:
         relative = f"records/{digest[:2]}/{digest}.json"
         path = self._record_path(relative)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with atomic_write(path) as handle:
+            handle.write(blob)
         line = json.dumps(
             {
                 "schema": LEDGER_SCHEMA,
@@ -527,10 +518,8 @@ class RunLedger:
                     sort_keys=True,
                 )
             )
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write("".join(line + "\n" for line in lines))
-        os.replace(tmp, self.index_path)
+        with atomic_write(self.index_path) as handle:
+            handle.write("".join(line + "\n" for line in lines).encode("utf-8"))
         removed_files = 0
         for path in self.root.glob("records/??/*.json"):
             if path.resolve() not in referenced:

@@ -23,7 +23,7 @@ slice rather than a per-period linear filter — the access pattern the
 deployment-map kernel clusters over directly.
 
 Row objects still exist where the public API hands them out
-(``records_for``, ``map.records``, inspection evidence): the table
+(``records_for``, shortlist and inspection evidence): the table
 materializes :class:`AnnotatedScanRecord` dataclasses *lazily* from the
 columns and memoizes them, and a table built ``from_records`` seeds that
 memo with the caller's own objects, so the row view is identical to what
@@ -304,7 +304,7 @@ class ScanTable:
             self._rec_cache = [None] * len(self.date_ord)
         # Rows of a domain sort by (scan date, ip *string*) — the order
         # the row-at-a-time dataset produced, preserved bit for bit so
-        # everything downstream (map.records, evidence, golden reports)
+        # everything downstream (records_for, evidence, golden reports)
         # is unchanged.  The string ranks are computed once per unique
         # address, not once per row.
         ip_rank = array("I", bytes(len(self.ips) * array("I").itemsize))

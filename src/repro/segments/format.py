@@ -14,21 +14,21 @@ The trailing checksum makes truncation and bit flips a *typed* failure
 verifies the whole file with bounded streamed reads before mapping it —
 streaming rather than hashing through the map keeps verification from
 faulting every page into the opener's resident set.  Writes land via
-the same tempfile + ``os.replace`` pattern as the stage cache, so a
-crashed writer leaves no half-segment behind.
+:func:`repro.atomic.atomic_write`, like the stage cache's, so a crashed
+writer leaves no half-segment behind.
 """
 
 from __future__ import annotations
 
 import json
 import mmap
-import os
 import pickle
-import tempfile
 from array import array
 from hashlib import blake2b
 from pathlib import Path
 from typing import Any, Iterator
+
+from repro.atomic import atomic_write
 
 MAGIC = b"repro-segment/1\n"
 
@@ -100,30 +100,21 @@ class SegmentWriter:
         ).encode("utf-8")
         path.parent.mkdir(parents=True, exist_ok=True)
         digest = blake2b(digest_size=_CHECKSUM_BYTES)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".segtmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
+        with atomic_write(path) as handle:
 
-                def emit(chunk: bytes) -> None:
-                    digest.update(chunk)
-                    handle.write(chunk)
+            def emit(chunk: bytes) -> None:
+                digest.update(chunk)
+                handle.write(chunk)
 
-                emit(MAGIC)
-                emit(len(header).to_bytes(_LENGTH_BYTES, "big"))
-                emit(header)
-                # Align the payload start (the reader assumes it).
-                emit(b"\0" * _pad(len(MAGIC) + _LENGTH_BYTES + len(header)))
-                for _, _, _, data in self._blobs:
-                    emit(data)
-                    emit(b"\0" * _pad(len(data)))
-                handle.write(digest.digest())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+            emit(MAGIC)
+            emit(len(header).to_bytes(_LENGTH_BYTES, "big"))
+            emit(header)
+            # Align the payload start (the reader assumes it).
+            emit(b"\0" * _pad(len(MAGIC) + _LENGTH_BYTES + len(header)))
+            for _, _, _, data in self._blobs:
+                emit(data)
+                emit(b"\0" * _pad(len(data)))
+            handle.write(digest.digest())
         return path
 
 

@@ -6,6 +6,8 @@ from repro.baseline.naive import (
     flag_shortlisted,
     format_comparison,
 )
+from repro.core.pipeline import HijackPipeline, PipelineInputs
+from repro.faults import DataQuality, FaultPlan, apply_faults
 
 
 class TestScoring:
@@ -51,6 +53,17 @@ class TestNaiveDetectors:
         p_full, r_full, fp_full = pipeline.score(truth)
         assert p_all <= p_short <= p_full
         assert p_full == 1.0 and fp_full == 0
+
+    def test_shortlist_matches_pipeline_on_degraded_scans(self, paper):
+        """flag_shortlisted is the pipeline's steps 1-3: on a scan dataset
+        with lost weeks it discounts the known-missing scans exactly as
+        the pipeline's shortlist stage does."""
+        plan = FaultPlan.from_spec("scan.drop_weeks=0.2")
+        degraded = apply_faults(PipelineInputs.from_study(paper), plan, DataQuality())
+        assert degraded.scan.known_missing_dates
+        report = HijackPipeline.from_study(paper, faults=plan).run()
+        shortlisted = flag_shortlisted(degraded.scan, degraded.periods, degraded.as2org)
+        assert shortlisted.flagged == {e.domain for e in report.shortlist}
 
     def test_rendering(self, small_study):
         results = [flag_all_transients(small_study.scan, small_study.periods)]

@@ -2,9 +2,17 @@
 
 from datetime import date
 
-from repro.core.deployment import build_deployment_map, build_deployment_maps
+from repro.core.deployment import build_domain_maps
+from repro.core.patterns import classify_dataset
 
 from tests.helpers import PERIOD, ScanSketch, make_cert, scan_dates
+
+
+def map_of(sketch: ScanSketch):
+    """The sketch's one deployment map for PERIOD (max gap: 6 scans)."""
+    ((key, map_),) = build_domain_maps(sketch.dataset(), sketch.domain, (PERIOD,))
+    assert key == (sketch.domain, PERIOD.index)
+    return map_
 
 
 class TestDeploymentGrouping:
@@ -12,7 +20,7 @@ class TestDeploymentGrouping:
         dates = scan_dates()
         cert = make_cert("www.x.gr", 1, date(2018, 12, 1))
         sketch = ScanSketch("x.gr").presence(dates, "10.0.0.1", 100, "GR", cert)
-        map_ = build_deployment_map("x.gr", sketch.records, PERIOD, dates)
+        map_ = map_of(sketch)
         assert len(map_.deployments) == 1
         deployment = map_.deployments[0]
         assert deployment.asn == 100
@@ -29,7 +37,7 @@ class TestDeploymentGrouping:
             .presence(dates, "10.0.0.1", 100, "GR", cert)
             .presence(dates[10:12], "20.0.0.1", 200, "NL", cert)
         )
-        map_ = build_deployment_map("x.gr", sketch.records, PERIOD, dates)
+        map_ = map_of(sketch)
         assert {d.asn for d in map_.deployments} == {100, 200}
         transient = map_.deployments_for_asn(200)[0]
         assert transient.scan_count == 2
@@ -43,7 +51,7 @@ class TestDeploymentGrouping:
             .presence(dates[:3], "10.0.0.1", 100, "GR", cert)
             .presence(dates[-3:], "10.0.0.1", 100, "GR", cert)
         )
-        map_ = build_deployment_map("x.gr", sketch.records, PERIOD, dates, max_gap_scans=6)
+        map_ = map_of(sketch)
         assert len(map_.deployments) == 2
         assert all(d.asn == 100 for d in map_.deployments)
 
@@ -55,7 +63,7 @@ class TestDeploymentGrouping:
             .presence(dates[:10], "10.0.0.1", 100, "GR", cert)
             .presence(dates[13:], "10.0.0.1", 100, "GR", cert)
         )
-        map_ = build_deployment_map("x.gr", sketch.records, PERIOD, dates, max_gap_scans=6)
+        map_ = map_of(sketch)
         assert len(map_.deployments) == 1
 
     def test_ips_and_certs_accumulate(self):
@@ -67,7 +75,7 @@ class TestDeploymentGrouping:
             .presence(dates[:13], "10.0.0.1", 100, "GR", a)
             .presence(dates[13:], "10.0.0.2", 100, "GR", b)
         )
-        map_ = build_deployment_map("x.gr", sketch.records, PERIOD, dates)
+        map_ = map_of(sketch)
         deployment = map_.deployments[0]
         assert deployment.ips == frozenset({"10.0.0.1", "10.0.0.2"})
         assert len(deployment.cert_fingerprints) == 2
@@ -78,7 +86,7 @@ class TestDeploymentGrouping:
         sketch = ScanSketch("x.gr").presence(
             (date(2018, 8, 5),) + dates[:4], "10.0.0.1", 100, "GR", cert
         )
-        map_ = build_deployment_map("x.gr", sketch.records, PERIOD, dates)
+        map_ = map_of(sketch)
         assert map_.deployments[0].first_seen >= PERIOD.start
 
 
@@ -87,7 +95,7 @@ class TestBuildAll:
         dates = scan_dates()
         cert = make_cert("www.x.gr", 1, date(2018, 12, 1))
         dataset = ScanSketch("x.gr").presence(dates, "10.0.0.1", 100, "GR", cert).dataset()
-        maps = build_deployment_maps(dataset, (PERIOD,))
+        maps = classify_dataset(dataset, (PERIOD,))
         assert set(maps) == {("x.gr", PERIOD.index)}
 
     def test_no_map_for_invisible_period(self):
@@ -96,7 +104,7 @@ class TestBuildAll:
         dates = scan_dates()
         cert = make_cert("www.x.gr", 1, date(2018, 12, 1))
         dataset = ScanSketch("x.gr").presence(dates, "10.0.0.1", 100, "GR", cert).dataset()
-        maps = build_deployment_maps(dataset, ALL_PERIODS)
+        maps = classify_dataset(dataset, ALL_PERIODS)
         assert ("x.gr", 1) in maps
         assert ("x.gr", 0) not in maps  # no scan dates in dataset for period 0
         assert ("x.gr", 2) not in maps

@@ -2,9 +2,8 @@
 
 from datetime import date, timedelta
 
-from repro.core.deployment import build_deployment_map
 from repro.core.inspection import InspectionConfig, Inspector
-from repro.core.patterns import classify
+from repro.core.patterns import classify_dataset
 from repro.core.shortlist import Shortlister
 from repro.core.types import DetectionType, Verdict
 from repro.ct.log import CTLog
@@ -22,9 +21,9 @@ HIJACK_DAY = DATES[12] - timedelta(days=2)
 
 
 def shortlist_entry(sketch: ScanSketch, truly_anomalous=False):
-    map_ = build_deployment_map(sketch.domain, sketch.records, PERIOD, DATES)
-    classifications = {(sketch.domain, PERIOD.index): classify(map_)}
-    entries, _ = Shortlister(AS2Org()).evaluate(classifications)
+    dataset = sketch.dataset()
+    classifications = classify_dataset(dataset, (PERIOD,))
+    entries, _ = Shortlister(AS2Org(), dataset).evaluate(classifications)
     assert entries, "sketch must produce a shortlisted transient"
     entry = entries[0]
     if truly_anomalous:

@@ -3,18 +3,28 @@ Figures 3, 4, and 5 of the paper must classify to its pattern."""
 
 from datetime import date
 
-from repro.core.deployment import build_deployment_map
-from repro.core.patterns import PatternConfig, classify
+import pytest
+
+from repro.analysis.gallery import gallery
+from repro.analysis.gallery import DATES as GALLERY_DATES
+from repro.analysis.gallery import PERIOD as GALLERY_PERIOD
+from repro.core.patterns import (
+    ENCODED_KINDS,
+    PatternConfig,
+    classify_dataset,
+    classify_encoded,
+)
 from repro.core.types import PatternKind, SubPattern
+from repro.scan.dataset import ScanDataset
 
 from tests.helpers import PERIOD, ScanSketch, make_cert, scan_dates
 
 DATES = scan_dates()
 
 
-def classify_sketch(sketch: ScanSketch):
-    map_ = build_deployment_map(sketch.domain, sketch.records, PERIOD, DATES)
-    return classify(map_)
+def classify_sketch(sketch: ScanSketch, config: PatternConfig | None = None):
+    classifications = classify_dataset(sketch.dataset(), (PERIOD,), config)
+    return classifications[(sketch.domain, PERIOD.index)]
 
 
 class TestStablePatterns:
@@ -156,10 +166,8 @@ class TestNoisy:
         assert result.kind is PatternKind.NOISY
 
     def test_empty_map_is_no_data(self):
-        from repro.core.deployment import build_deployment_map
-
-        map_ = build_deployment_map("x.gr", [], PERIOD, DATES)
-        assert classify(map_).kind is PatternKind.NO_DATA
+        kind_code, *_ = classify_encoded((), ())
+        assert ENCODED_KINDS[kind_code] is PatternKind.NO_DATA
 
 
 class TestConfig:
@@ -171,7 +179,31 @@ class TestConfig:
             .presence(DATES, "10.0.0.1", 100, "GR", stable)
             .presence(DATES[5:10], "203.0.113.5", 666, "NL", rogue)  # ~5 weeks
         )
-        map_ = build_deployment_map("x.gr", sketch.records, PERIOD, DATES)
-        assert classify(map_, PatternConfig(transient_max_days=91)).kind is PatternKind.TRANSIENT
-        tight = classify(map_, PatternConfig(transient_max_days=14))
+        wide = classify_sketch(sketch, PatternConfig(transient_max_days=91))
+        assert wide.kind is PatternKind.TRANSIENT
+        tight = classify_sketch(sketch, PatternConfig(transient_max_days=14))
         assert tight.kind is not PatternKind.TRANSIENT
+
+
+#: The kind each gallery label's first letter names.
+_GALLERY_KINDS = {
+    "S": PatternKind.STABLE,
+    "X": PatternKind.TRANSITION,
+    "T": PatternKind.TRANSIENT,
+    "N": PatternKind.NOISY,
+}
+
+
+@pytest.mark.parametrize(
+    "title,domain,records",
+    list(gallery()),
+    ids=[title.split()[0] for title, _, _ in gallery()],
+)
+def test_gallery_shape_classifies_as_titled(title, domain, records):
+    """Each shape `repro-hunt gallery` renders classifies, through the
+    production kernels, to the kind and sub-pattern its title names."""
+    label = title.split()[0]
+    dataset = ScanDataset(records, GALLERY_DATES)
+    result = classify_dataset(dataset, (GALLERY_PERIOD,))[(domain, GALLERY_PERIOD.index)]
+    assert result.kind is _GALLERY_KINDS[label[0]]
+    assert result.subpatterns == (() if label == "NOISY" else (SubPattern[label],))

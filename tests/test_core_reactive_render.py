@@ -3,8 +3,7 @@ and ASCII deployment-map rendering."""
 
 from datetime import date, datetime
 
-from repro.core.deployment import build_deployment_map
-from repro.core.patterns import classify
+from repro.core.patterns import classify_dataset
 from repro.core.reactive import ReactiveMonitor
 from repro.core.render import render_classification, render_deployment_map
 
@@ -58,7 +57,7 @@ class TestReactiveMonitor:
 
 
 class TestRendering:
-    def make_map(self):
+    def make_classification(self):
         stable = make_cert("www.x.gr", 1, date(2018, 12, 1))
         rogue = make_cert("mail.x.gr", 2, date(2019, 3, 20), issuer="Let's Encrypt")
         sketch = (
@@ -66,7 +65,10 @@ class TestRendering:
             .presence(DATES, "10.0.0.1", 100, "GR", stable)
             .presence(DATES[12:13], "203.0.113.5", 666, "NL", rogue)
         )
-        return build_deployment_map("x.gr", sketch.records, PERIOD, DATES)
+        return classify_dataset(sketch.dataset(), (PERIOD,))[("x.gr", PERIOD.index)]
+
+    def make_map(self):
+        return self.make_classification().map
 
     def test_render_contains_rows_and_legend(self):
         text = render_deployment_map(self.make_map())
@@ -88,7 +90,7 @@ class TestRendering:
         assert stable_glyph != transient_glyph
 
     def test_render_classification_includes_verdict(self):
-        classification = classify(self.make_map())
+        classification = self.make_classification()
         text = render_classification(classification)
         assert "TRANSIENT" in text
         assert "T1" in text

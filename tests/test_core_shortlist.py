@@ -2,14 +2,26 @@
 
 from datetime import date, timedelta
 
-from repro.core.deployment import build_deployment_map
-from repro.core.patterns import classify
+from repro.core.patterns import classify_dataset
 from repro.core.shortlist import ShortlistConfig, Shortlister
 from repro.ipintel.as2org import AS2Org
+from repro.scan.dataset import ScanDataset
 
 from tests.helpers import ALL_PERIODS, PERIOD, ScanSketch, make_cert, scan_dates
 
 DATES = scan_dates()
+
+
+def period_dates(period) -> tuple[date, ...]:
+    return tuple(
+        d for d in (period.start + timedelta(days=7 * i) for i in range(26))
+        if period.contains(d)
+    )
+
+
+#: The scan calendar: the weeks of the period before, the sketches'
+#: period and the period after.
+CALENDAR = period_dates(ALL_PERIODS[0]) + DATES + period_dates(ALL_PERIODS[2])
 
 
 def make_as2org() -> AS2Org:
@@ -40,12 +52,12 @@ def transient_sketch(
     )
 
 
-def evaluate(sketch: ScanSketch, as2org=None, config=None, extra_maps=None):
-    map_ = build_deployment_map(sketch.domain, sketch.records, PERIOD, DATES)
-    classifications = {(sketch.domain, PERIOD.index): classify(map_)}
-    if extra_maps:
-        classifications.update(extra_maps)
-    shortlister = Shortlister(as2org or make_as2org(), config)
+def evaluate(sketch: ScanSketch, as2org=None, config=None, neighbors=()):
+    """Shortlist the sketch; ``neighbors`` add records in the adjacent periods."""
+    records = sketch.records + [r for n in neighbors for r in n.records]
+    dataset = ScanDataset(records, CALENDAR)
+    classifications = classify_dataset(dataset, ALL_PERIODS)
+    shortlister = Shortlister(as2org or make_as2org(), dataset, config)
     return shortlister.evaluate(classifications)
 
 
@@ -71,17 +83,11 @@ class TestKeepRule:
     def test_truly_anomalous_kept_despite_non_sensitive_name(self):
         sketch = transient_sketch(transient_name="static.x.gr")
         stable = make_cert("www.x.gr", 1, date(2018, 1, 1), days=900)
-        extra = {}
-        for period in (ALL_PERIODS[0], ALL_PERIODS[2]):
-            other_dates = tuple(
-                d for d in (
-                    period.start + timedelta(days=7 * i) for i in range(26)
-                ) if period.contains(d)
-            )
-            neighbor = ScanSketch("x.gr").presence(other_dates, "10.0.0.1", 100, "GR", stable)
-            map_ = build_deployment_map("x.gr", neighbor.records, period, other_dates)
-            extra[("x.gr", period.index)] = classify(map_)
-        entries, _ = evaluate(sketch, extra_maps=extra)
+        neighbors = [
+            ScanSketch("x.gr").presence(period_dates(period), "10.0.0.1", 100, "GR", stable)
+            for period in (ALL_PERIODS[0], ALL_PERIODS[2])
+        ]
+        entries, _ = evaluate(sketch, neighbors=neighbors)
         assert len(entries) == 1
         assert entries[0].truly_anomalous
 
@@ -111,23 +117,17 @@ class TestPrunes:
     def test_recurring_transients_pruned(self):
         """Similar transients in three or more consecutive periods."""
         sketch = transient_sketch()
-        extra = {}
         stable = make_cert("www.x.gr", 1, date(2018, 1, 1), days=900)
         rogue2 = make_cert("mail.x.gr", 3, date(2018, 9, 1), issuer="Let's Encrypt")
+        neighbors = []
         for period in (ALL_PERIODS[0], ALL_PERIODS[2]):
-            other_dates = tuple(
-                d for d in (
-                    period.start + timedelta(days=7 * i) for i in range(26)
-                ) if period.contains(d)
-            )
-            neighbor = (
+            other_dates = period_dates(period)
+            neighbors.append(
                 ScanSketch("x.gr")
                 .presence(other_dates, "10.0.0.1", 100, "GR", stable)
                 .presence(other_dates[5:6], "203.0.113.9", 666, "NL", rogue2)
             )
-            map_ = build_deployment_map("x.gr", neighbor.records, period, other_dates)
-            extra[("x.gr", period.index)] = classify(map_)
-        entries, decisions = evaluate(sketch, extra_maps=extra)
+        entries, decisions = evaluate(sketch, neighbors=neighbors)
         assert all(e.domain != "x.gr" or e.period_index != PERIOD.index for e in entries) or not entries
         assert any(d.reason == "recurring-transients" for d in decisions)
 

@@ -4,27 +4,35 @@ The pipeline's stages compute in interned-id space — ``classify_encoded``
 over the deployment wire form, bisect row slices for shortlist evidence,
 encoded inspection results decoded against the parent tables, and the
 assemble stage's precomputed victim-infrastructure index.  Each test
-re-derives one stage's product with a row-at-a-time reference
-(object-graph ``classify``, the datasetless ``Shortlister``, an
-``Inspector`` over the test-only linear pDNS and per-SAN CT models, a
-per-domain rescan of the classification table) on randomized paper
-worlds across seeds, and requires identity — verdicts, evidence,
-provenance trails, and the fault runs' DataQuality ledgers alike.
+re-derives one stage's product with a row-at-a-time reference from
+``tests/reference.py`` (the object-graph ``classify``, the
+record-filtering ``ReferenceShortlister``, an ``Inspector`` over the
+linear pDNS and per-SAN CT models, a per-domain rescan of the
+classification table) on randomized paper worlds across seeds, and
+requires identity — verdicts, evidence, provenance trails, and the fault
+runs' DataQuality ledgers alike.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
 from repro.cache import StageCache
 from repro.core.inspection import Inspector, decode_inspection, encode_inspection
-from repro.core.patterns import classify
 from repro.core.pipeline import HijackPipeline
-from repro.core.shortlist import Shortlister
 from repro.core.types import Verdict
 from repro.exec import ProcessPoolBackend, SerialBackend
+from repro.faults import DataQuality, apply_faults
 from repro.world.scenarios import paper_study
-from tests.reference import ReferenceCrtSh, ReferencePdns, victim_infra
+from tests.reference import (
+    ReferenceCrtSh,
+    ReferencePdns,
+    ReferenceShortlister,
+    classify,
+    victim_infra,
+)
 
 SEEDS = (3, 7, 21)
 BACKGROUND = 12
@@ -55,13 +63,11 @@ def test_classify_encoded_matches_object_classifier(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_shortlist_columnar_matches_reference(seed):
-    """Stage 3: the bisect-slice evidence path (dataset attached) equals
-    the record-filtering reference — entries, order, prune decisions."""
+    """Stage 3: the bisect-slice evidence path equals the
+    record-filtering reference — entries, order, prune decisions."""
     pipeline, report = _run(seed)
-    reference = Shortlister(
-        pipeline.inputs.as2org,
-        pipeline.config.shortlist,
-        known_missing=pipeline.inputs.scan.known_missing_dates,
+    reference = ReferenceShortlister(
+        pipeline.inputs.as2org, pipeline.inputs.scan, pipeline.config.shortlist
     )
     ref_entries, ref_decisions = reference.evaluate(report.classifications)
     assert report.shortlist == ref_entries  # transient_rows excluded from eq
@@ -74,8 +80,26 @@ def test_shortlist_columnar_matches_reference(seed):
     # rows decode to exactly the evidence records shipped.
     table = pipeline.inputs.scan.table
     for entry in report.shortlist:
-        assert entry.transient_rows is not None
+        assert entry.transient_rows
         assert [table.record(r) for r in entry.transient_rows] == entry.transient_records
+
+
+def test_shortlist_matches_reference_on_degraded_scans():
+    """Stage 3 with known-missing scans: the visibility check's
+    denominator drops the lost weeks identically on both paths."""
+    study = paper_study(seed=SEEDS[0], n_background=BACKGROUND)
+    pipeline = HijackPipeline.from_study(study, faults="scan.drop_weeks=0.3")
+    report = pipeline.run()
+    scan = apply_faults(pipeline.inputs, pipeline.faults, DataQuality()).scan
+    assert scan.known_missing_dates
+    reference = ReferenceShortlister(
+        pipeline.inputs.as2org, scan, pipeline.config.shortlist
+    )
+    ref_entries, ref_decisions = reference.evaluate(report.classifications)
+    assert report.shortlist == ref_entries
+    assert report.funnel.prune_reasons == Counter(
+        d.reason for d in ref_decisions if not d.kept
+    )
 
 
 @pytest.mark.parametrize("seed", SEEDS)

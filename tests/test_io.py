@@ -4,7 +4,7 @@ from datetime import date
 
 import pytest
 
-from repro.core.deployment import build_deployment_maps
+from repro.core.patterns import classify_dataset
 from repro.io.datasets import load_pdns, load_scan_dataset, save_pdns, save_scan_dataset
 from repro.io.jsonl import read_jsonl, write_jsonl
 from repro.io.reports import load_findings, save_findings
@@ -47,11 +47,11 @@ class TestScanDatasetRoundtrip:
 
         # Deployment maps built from the loaded dataset are identical in
         # structure (same deployments per domain-period).
-        original = build_deployment_maps(small_study.scan, small_study.periods)
-        replayed = build_deployment_maps(loaded, small_study.periods)
+        original = classify_dataset(small_study.scan, small_study.periods)
+        replayed = classify_dataset(loaded, small_study.periods)
         assert set(original) == set(replayed)
         for key in original:
-            a, b = original[key], replayed[key]
+            a, b = original[key].map, replayed[key].map
             assert [(d.asn, d.first_seen, d.last_seen) for d in a.deployments] == [
                 (d.asn, d.first_seen, d.last_seen) for d in b.deployments
             ]

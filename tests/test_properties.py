@@ -12,8 +12,7 @@ from datetime import date
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.deployment import build_deployment_map
-from repro.core.patterns import PatternConfig, classify
+from repro.core.patterns import PatternConfig, classify_dataset
 from repro.core.types import PatternKind
 from repro.dns.records import RRType
 from repro.net.timeline import TRANSIENT_MAX_DAYS
@@ -31,6 +30,11 @@ _presence = st.tuples(
     st.integers(min_value=0, max_value=3),   # certificate selector
 )
 _history = st.lists(_presence, min_size=1, max_size=6)
+
+
+def _classify(sketch: ScanSketch, config: PatternConfig | None = None):
+    """The sketch's PERIOD classification through the production kernels."""
+    return classify_dataset(sketch.dataset(), (PERIOD,), config)[("prop.com", PERIOD.index)]
 
 
 def _sketch_from(history) -> ScanSketch:
@@ -55,7 +59,7 @@ class TestDeploymentInvariants:
         """Every in-period record lands in exactly one deployment group,
         and group dates/ASNs cover exactly the record set."""
         sketch = _sketch_from(history)
-        map_ = build_deployment_map("prop.com", sketch.records, PERIOD, DATES)
+        map_ = _classify(sketch).map
         record_cells = {(r.scan_date, r.asn) for r in sketch.records}
         group_cells = {
             (g.scan_date, g.asn) for d in map_.deployments for g in d.groups
@@ -66,7 +70,7 @@ class TestDeploymentInvariants:
     @given(_history)
     def test_deployments_ordered_and_asn_homogeneous(self, history):
         sketch = _sketch_from(history)
-        map_ = build_deployment_map("prop.com", sketch.records, PERIOD, DATES)
+        map_ = _classify(sketch).map
         for deployment in map_.deployments:
             dates = deployment.dates()
             assert list(dates) == sorted(dates)
@@ -77,7 +81,7 @@ class TestDeploymentInvariants:
     @given(_history)
     def test_presence_bounded(self, history):
         sketch = _sketch_from(history)
-        map_ = build_deployment_map("prop.com", sketch.records, PERIOD, DATES)
+        map_ = _classify(sketch).map
         assert 0.0 <= map_.presence <= 1.0
 
 
@@ -86,8 +90,7 @@ class TestClassifierInvariants:
     @given(_history)
     def test_every_map_gets_exactly_one_kind(self, history):
         sketch = _sketch_from(history)
-        map_ = build_deployment_map("prop.com", sketch.records, PERIOD, DATES)
-        classification = classify(map_)
+        classification = _classify(sketch)
         assert classification.kind in PatternKind
 
     @settings(max_examples=80)
@@ -96,8 +99,7 @@ class TestClassifierInvariants:
         """A TRANSIENT verdict always coexists with a stable deployment —
         the definition in Section 4.2.3."""
         sketch = _sketch_from(history)
-        map_ = build_deployment_map("prop.com", sketch.records, PERIOD, DATES)
-        classification = classify(map_)
+        classification = _classify(sketch)
         if classification.kind is PatternKind.TRANSIENT:
             assert classification.stable
             assert classification.transients
@@ -106,8 +108,7 @@ class TestClassifierInvariants:
     @given(_history)
     def test_transients_respect_threshold(self, history):
         sketch = _sketch_from(history)
-        map_ = build_deployment_map("prop.com", sketch.records, PERIOD, DATES)
-        classification = classify(map_)
+        classification = _classify(sketch)
         for transient in classification.transients:
             if classification.kind is PatternKind.TRANSIENT:
                 assert transient.span_days <= TRANSIENT_MAX_DAYS
@@ -118,9 +119,8 @@ class TestClassifierInvariants:
         """Raising the transient threshold never *removes* a transient
         verdict's transients (it may add more)."""
         sketch = _sketch_from(history)
-        map_ = build_deployment_map("prop.com", sketch.records, PERIOD, DATES)
-        narrow = classify(map_, PatternConfig(transient_max_days=threshold))
-        wide = classify(map_, PatternConfig(transient_max_days=threshold + 30))
+        narrow = _classify(sketch, PatternConfig(transient_max_days=threshold))
+        wide = _classify(sketch, PatternConfig(transient_max_days=threshold + 30))
         if narrow.kind is PatternKind.TRANSIENT:
             narrow_set = {(t.asn, t.first_seen) for t in narrow.transients}
             wide_set = {(t.asn, t.first_seen) for t in wide.transients}

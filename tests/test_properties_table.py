@@ -14,7 +14,7 @@ from datetime import date
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.deployment import build_deployment_map, build_deployment_maps
+from repro.core.patterns import classify_dataset
 from repro.io.datasets import load_scan_dataset, save_scan_dataset
 from repro.scan.annotate import Annotator
 from repro.scan.dataset import ScanDataset
@@ -22,6 +22,7 @@ from repro.scan.engine import RawScanObservation
 from repro.tls.truststore import TrustStore
 
 from tests.helpers import ALL_PERIODS, PERIOD, ScanSketch, make_cert, scan_dates
+from tests.reference import build_deployment_map
 
 DATES = scan_dates()
 DOMAINS = ("alpha.com", "beta.org", "gamma.net")
@@ -74,10 +75,13 @@ class TestKernelEquivalence:
     @settings(max_examples=50, deadline=None)
     @given(_history)
     def test_columnar_maps_equal_row_path(self, history):
-        """build_deployment_maps (encode+decode) == the row-path oracle,
-        including deployment order, group order, and attached records."""
+        """The encoded-then-decoded maps == the row-path oracle, including
+        deployment order and group order."""
         dataset = _dataset_from(history)
-        columnar = build_deployment_maps(dataset, ALL_PERIODS)
+        columnar = {
+            key: classification.map
+            for key, classification in classify_dataset(dataset, ALL_PERIODS).items()
+        }
         for domain in dataset.domains():
             records = list(dataset.records_for(domain))
             for period in ALL_PERIODS:
@@ -91,7 +95,6 @@ class TestKernelEquivalence:
                     domain, records, period, dates_in_period
                 )
                 assert _groups_of(columnar[key]) == _groups_of(oracle)
-                assert columnar[key].records == oracle.records
 
     @settings(max_examples=50, deadline=None)
     @given(_history)

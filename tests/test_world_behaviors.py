@@ -6,8 +6,7 @@ from datetime import date
 
 import pytest
 
-from repro.core.deployment import build_deployment_maps
-from repro.core.patterns import classify
+from repro.core.patterns import classify_dataset
 from repro.core.shortlist import Shortlister
 from repro.core.types import PatternKind
 from repro.world.behaviors import (
@@ -44,10 +43,10 @@ def classify_behaviour(behaviour, periods_needed=1):
     rng = random.Random(99)
     behaviour(world, "probe.com", pool, rng, DateInterval(INTERVAL_START, INTERVAL_END))
     study = run_study(world)
-    maps = build_deployment_maps(study.scan, study.periods)
+    classifications = classify_dataset(study.scan, study.periods)
     key = ("probe.com", 0)
-    assert key in maps, "behaviour produced no scan visibility"
-    return classify(maps[key]), study
+    assert key in classifications, "behaviour produced no scan visibility"
+    return classifications[key], study
 
 
 @pytest.mark.parametrize("behaviour", [stable_s1, stable_s2, stable_s3, stable_s4])
@@ -79,7 +78,7 @@ def test_noisy_behaviour_classifies_noisy():
 def test_benign_transients_pruned_by_their_heuristic(behaviour, expected_reason):
     classification, study = classify_behaviour(behaviour)
     classifications = {("probe.com", 0): classification}
-    entries, decisions = Shortlister(study.as2org).evaluate(classifications)
+    entries, decisions = Shortlister(study.as2org, study.scan).evaluate(classifications)
     assert entries == []
     assert any(d.reason == expected_reason for d in decisions), [
         d.reason for d in decisions
@@ -92,7 +91,7 @@ def test_stale_cert_transient_survives_shortlist_dies_in_inspection():
 
     classification, study = classify_behaviour(transient_stale_cert)
     assert classification.kind is PatternKind.TRANSIENT
-    entries, _ = Shortlister(study.as2org).evaluate({("probe.com", 0): classification})
+    entries, _ = Shortlister(study.as2org, study.scan).evaluate({("probe.com", 0): classification})
     assert len(entries) == 1  # sensitive name + cross-AS + cross-country
     inspector = Inspector(study.pdns, study.crtsh)
     result = inspector.inspect(entries[0])
