@@ -1,13 +1,13 @@
-"""Observability layer — disabled-tracing overhead and a traced profile.
+"""Observability layer — untraced-run overhead and a traced profile.
 
-The tentpole invariant says tracing is opt-in with near-zero cost when
-off: a disabled tracer turns every record call into a single attribute
-test, and the always-on metrics registry is a handful of dict writes per
-stage.  The first bench *asserts* that budget — a profiled run with a
-disabled tracer stays within 2% of a plain ``run_pipeline`` — using
-interleaved best-of-N arms (plus re-measures) so single-core CI jitter
-hits both sides equally.  The second bench profiles a fully traced run
-and reports the span tree's size and export weight.
+Tracing is opt-in with near-zero cost when off: a run with no event
+sink builds no event at all, and the always-on metrics registry is a
+handful of dict writes per stage.  The first bench *asserts* that
+budget — a profiled run with no sink stays within 2% of a plain
+``run_pipeline`` — using interleaved best-of-N arms (plus re-measures)
+so single-core CI jitter hits both sides equally.  The second bench
+profiles a fully traced run (a :class:`repro.obs.Tracer` as the run's
+event sink) and reports the span tree's size and export weight.
 """
 
 import time
@@ -20,7 +20,7 @@ from conftest import show
 
 N_BACKGROUND = 150
 ROUNDS = 5
-#: The asserted ceiling for disabled-tracing overhead.
+#: The asserted ceiling for untraced-profile overhead.
 MAX_OVERHEAD = 0.02
 #: Re-measure attempts before the assert is allowed to fail — a single
 #: scheduler hiccup should not fail the build over a no-op code path.
@@ -35,12 +35,10 @@ def _timed(fn):
 
 def _measure_overhead(study):
     """Best-of-N for both arms, interleaved in alternating order."""
-    disabled = Tracer(enabled=False)
     plain_time = obs_time = float("inf")
     for i in range(ROUNDS):
         arms = [("plain", lambda: study.run_pipeline(backend=SerialBackend())),
-                ("obs", lambda: study.profile_pipeline(
-                    backend=SerialBackend(), tracer=disabled))]
+                ("obs", lambda: study.profile_pipeline(backend=SerialBackend()))]
         if i % 2:
             arms.reverse()
         for label, fn in arms:
@@ -65,18 +63,16 @@ def test_disabled_tracing_overhead(benchmark):
         attempts += 1
 
     benchmark.pedantic(
-        lambda: study.profile_pipeline(
-            backend=SerialBackend(), tracer=Tracer(enabled=False)
-        ),
+        lambda: study.profile_pipeline(backend=SerialBackend()),
         rounds=1,
         iterations=1,
     )
 
     show(
-        f"Disabled-tracing overhead (asserted < {MAX_OVERHEAD:.0%})",
+        f"Untraced profile overhead (asserted < {MAX_OVERHEAD:.0%})",
         [
             f"plain run        : {plain_time * 1e3:8.1f} ms (best of {ROUNDS})",
-            f"disabled tracer  : {obs_time * 1e3:8.1f} ms (best of {ROUNDS})",
+            f"profile, no sink : {obs_time * 1e3:8.1f} ms (best of {ROUNDS})",
             f"overhead         : {overhead:+.2%} ({attempts} measurement pass(es))",
         ],
     )
@@ -84,7 +80,7 @@ def test_disabled_tracing_overhead(benchmark):
     benchmark.extra_info["disabled_tracer_ms"] = round(obs_time * 1e3, 1)
     benchmark.extra_info["overhead_pct"] = round(overhead * 100, 2)
     assert overhead < MAX_OVERHEAD, (
-        f"disabled tracing cost {overhead:.2%} (> {MAX_OVERHEAD:.0%}) "
+        f"untraced profiling cost {overhead:.2%} (> {MAX_OVERHEAD:.0%}) "
         f"after {attempts} measurement passes"
     )
 
@@ -94,7 +90,7 @@ def test_traced_run_profile(benchmark):
     tracer = Tracer()
 
     def traced_run():
-        return study.profile_pipeline(backend=SerialBackend(), tracer=tracer)
+        return study.profile_pipeline(backend=SerialBackend(), events=tracer)
 
     _report, metrics = benchmark.pedantic(traced_run, rounds=1, iterations=1)
 

@@ -102,8 +102,9 @@ Observability: ``paper``, ``hunt``, and ``profile`` accept
 ``--trace FILE`` to record a hierarchical span trace of the run — FILE
 gets Chrome trace-event JSON (load it in Perfetto or chrome://tracing)
 and FILE.spans.jsonl the raw span stream.  They also accept
-``--events FILE`` (live heartbeat events as JSONL: run/stage/chunk
-boundaries, retries, ETA) and ``--ledger [DIR]`` (append the run's
+``--events FILE`` (the run's events as JSONL: run/stage/chunk
+boundaries, cache hits, retries, ETA — the stream the trace is folded
+from) and ``--ledger [DIR]`` (append the run's
 durable record to the run ledger; defaults to ``$REPRO_LEDGER_DIR``,
 ``--no-ledger`` disables).  On an interactive terminal a one-line
 progress display tracks the run on stderr (``--progress`` forces it,
@@ -227,7 +228,7 @@ def _make_cache(args: argparse.Namespace):
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--events", metavar="FILE", default=None,
-        help="write the live heartbeat event stream as JSONL "
+        help="write the run's live event stream as JSONL "
         "(schema repro.obs.events/1)",
     )
     parser.add_argument(
@@ -253,13 +254,14 @@ def _add_ledger_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_events(args: argparse.Namespace):
+def _make_events(args: argparse.Namespace, tracer: Tracer | None):
     """The run's composite event sink, or None when nothing listens.
 
-    The JSONL stream is explicit (``--events FILE``); the TTY progress
-    line is automatic on an interactive stderr unless quieted.  The
-    caller must ``close()`` the sink after the run (use try/finally —
-    a crashed run still flushes what it saw).
+    The tracer (``--trace FILE``) and the JSONL stream (``--events
+    FILE``) are explicit; the TTY progress line is automatic on an
+    interactive stderr unless quieted.  The caller must ``close()`` the
+    sink after the run (use try/finally — a crashed run still flushes
+    what it saw).
     """
     from repro.obs.events import (
         CompositeEventSink,
@@ -267,7 +269,7 @@ def _make_events(args: argparse.Namespace):
         TTYProgressSink,
     )
 
-    sinks = []
+    sinks = [tracer] if tracer is not None else []
     if args.events:
         sinks.append(JsonlEventSink(args.events))
     quiet = getattr(args, "quiet", False)
@@ -331,11 +333,10 @@ def _cmd_paper(args: argparse.Namespace) -> int:
     study = paper_study(seed=args.seed, n_background=args.background)
     backend = _make_backend(args)
     tracer = _make_tracer(args)
-    events = _make_events(args)
+    events = _make_events(args, tracer)
     try:
         report, metrics = study.profile_pipeline(
-            backend=backend, faults=_fault_plan(args), tracer=tracer,
-            cache=_make_cache(args),
+            backend=backend, faults=_fault_plan(args), cache=_make_cache(args),
             events=events, ledger=_make_ledger(args),
         )
     finally:
@@ -416,11 +417,10 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     tracer = _make_tracer(args)
-    events = _make_events(args)
+    events = _make_events(args, tracer)
     try:
         report, metrics = pipeline.profile(
-            _make_backend(args), tracer=tracer,
-            cache=_make_cache(args),
+            _make_backend(args), cache=_make_cache(args),
             events=events, ledger=_make_ledger(args),
         )
     finally:
@@ -462,11 +462,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     study = paper_study(seed=args.seed, n_background=args.background)
     backend = _make_backend(args)
     tracer = _make_tracer(args)
-    events = _make_events(args)
+    events = _make_events(args, tracer)
     try:
         _report, metrics = study.profile_pipeline(
-            backend=backend, faults=_fault_plan(args), tracer=tracer,
-            cache=_make_cache(args),
+            backend=backend, faults=_fault_plan(args), cache=_make_cache(args),
             events=events, memory=args.memory, ledger=_make_ledger(args),
         )
     finally:
@@ -822,14 +821,14 @@ def _cmd_epoch(args: argparse.Namespace) -> int:
         return 2
 
     tracer = _make_tracer(args)
-    events = _make_events(args)
+    events = _make_events(args, tracer)
     try:
         report, metrics, _dirty = run_epoch(
             inputs, delta,
             faults=_fault_plan(args),
             backend=_make_backend(args),
             cache=_make_cache(args),
-            tracer=tracer, events=events, ledger=_make_ledger(args),
+            events=events, ledger=_make_ledger(args),
             label=f"epoch-{delta.epoch}",
         )
     finally:

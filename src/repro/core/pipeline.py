@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from repro.cache.store import StageCache
     from repro.obs.events import EventSink
-    from repro.obs.ledger import RunLedger
 
 logger = logging.getLogger(__name__)
 
@@ -53,7 +52,7 @@ from repro.core.shortlist import (
 )
 from repro.core.types import DetectionType, PatternKind, Verdict
 from repro.ct.crtsh import CrtShService
-from repro.exec.backends import ExecutionBackend, SerialBackend
+from repro.exec.backends import ExecutionBackend
 from repro.exec.executor import PipelineExecutor
 from repro.exec.metrics import RunMetrics, StageStats
 from repro.exec.stage import Stage, StageContext
@@ -63,9 +62,16 @@ from repro.ipintel.as2org import AS2Org
 from repro.ipintel.geo import GeoDB
 from repro.ipintel.pfx2as import RoutingTable
 from repro.net.timeline import Period
+from repro.obs.ledger import (
+    RunLedger,
+    RunRecord,
+    data_fault_digest,
+    ledger_key,
+    record_from_metrics,
+    record_run,
+)
 from repro.obs.metrics import get_registry
 from repro.obs.provenance import trail_from_inspection, trail_from_pivot
-from repro.obs.trace import Tracer
 from repro.pdns.database import PassiveDNSDatabase
 from repro.scan.dataset import ScanDataset
 
@@ -831,7 +837,6 @@ class HijackPipeline:
     def profile(
         self,
         backend: ExecutionBackend | None = None,
-        tracer: Tracer | None = None,
         cache: StageCache | None = None,
         events: EventSink | None = None,
         memory: bool = False,
@@ -846,16 +851,17 @@ class HijackPipeline:
         the plan's worker faults, absorbing them via retry/backoff.  An
         empty plan takes exactly the fault-free code path.
 
-        An enabled :class:`repro.obs.Tracer` collects the run's
-        hierarchical span tree (run → stage → task-chunk across worker
-        pids); the report is required to be byte-identical with tracing
-        on or off.  Same contract for ``events`` (a live heartbeat
-        :class:`repro.obs.EventSink`) and ``ledger`` (a
-        :class:`repro.obs.RunLedger` the executor appends the run's
-        durable record to, keyed so that timing-only worker faults land
-        with the clean baseline).  ``memory=True`` additionally traces
-        per-stage allocations with :mod:`tracemalloc` — measurably
-        slower, so opt-in; peak RSS is sampled regardless.
+        ``events`` takes the :class:`repro.obs.EventSink` that observes
+        the run: a JSONL stream, the TTY progress line, a
+        :class:`repro.obs.Tracer` collecting the run's span tree (run →
+        stage → task-chunk across worker pids), or several of them in a
+        :class:`repro.obs.CompositeEventSink`.  The report is required to
+        be byte-identical with or without it.  Same contract for
+        ``ledger``: a :class:`repro.obs.RunLedger` that receives
+        :meth:`ledger_record` once the run has finished.
+        ``memory=True`` additionally traces per-stage allocations with
+        :mod:`tracemalloc` — measurably slower, so opt-in; peak RSS is
+        sampled regardless.
 
         A :class:`repro.cache.StageCache` turns repeat runs into cache
         loads: the run key is derived from the *degraded* input bundle
@@ -871,63 +877,49 @@ class HijackPipeline:
             from repro.cache.fingerprint import derive_run_key
 
             run_key = derive_run_key(inputs, self._faults, self._config)
-        ledger_info = None
-        ledger_extra = None
-        if ledger is not None:
-            ledger_info, ledger_extra = self._ledger_identity(backend, label)
         executor = PipelineExecutor(
-            build_stages(), backend=backend, tracer=tracer,
-            cache=cache, run_key=run_key,
+            build_stages(), backend=backend, cache=cache, run_key=run_key,
             events=events, memory=memory,
-            ledger=ledger, ledger_info=ledger_info, ledger_extra=ledger_extra,
         )
         executor.backend.install_faults(self._faults)
         metrics = executor.execute(ctx)
-        assert ctx.report is not None
-        metrics.funnel = _funnel_summary(ctx.report.funnel)
-        return ctx.report, metrics
+        report = ctx.report
+        assert report is not None
+        metrics.funnel = _funnel_summary(report.funnel)
+        if ledger is not None:
+            record_run(ledger, lambda: self.ledger_record(metrics, report, label))
+        return report, metrics
 
-    def _ledger_identity(self, backend: ExecutionBackend | None, label: str):
-        """The run's ledger identity plus the record-finisher callback.
+    def ledger_record(
+        self, metrics: RunMetrics, report: PipelineReport, label: str
+    ) -> RunRecord:
+        """The run's durable ledger record, built from its finished manifest.
 
         The matching key folds in config and *data-channel* faults only
         — worker faults are timing-only by contract, so an injected
         slowdown shares the clean run's key and the regression sentinel
-        can compare the two.  The finisher runs at run end inside the
-        executor, attaching what only the pipeline can compute: the
-        funnel summary and the report drift digest.
+        can compare the two.  Beyond the manifest the record carries the
+        report's drift digest.
         """
         from repro.cache.fingerprint import config_digest
         from repro.io.golden import report_digest
-        from repro.obs.ledger import LedgerInfo, data_fault_digest, ledger_key
 
         cfg_digest = config_digest(self._config)
         faults_digest = data_fault_digest(self._faults)
-        resolved = backend or SerialBackend()
-        info = LedgerInfo(
+        return record_from_metrics(
+            metrics,
             kind="pipeline",
             key=ledger_key(
                 "pipeline",
                 label,
                 config_digest=cfg_digest,
                 faults_digest=faults_digest,
-                backend=resolved.name,
-                jobs=resolved.jobs,
+                backend=metrics.backend,
+                jobs=metrics.jobs,
             ),
             label=label,
             config_digest=cfg_digest,
             faults_digest=faults_digest,
-            faults=(
-                "" if self._faults.is_empty else self._faults.spec.format()
-            ),
+            faults="" if self._faults.is_empty else self._faults.spec.format(),
+            report_digest=report_digest(report),
         )
-
-        def finish(ctx: StageContext) -> dict:
-            extra: dict = {}
-            report = getattr(ctx, "report", None)
-            if report is not None:
-                extra["funnel"] = _funnel_summary(report.funnel)
-                extra["report_digest"] = report_digest(report)
-            return extra
-
-        return info, finish

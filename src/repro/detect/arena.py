@@ -35,7 +35,7 @@ from repro.exec.stage import Stage, StageContext
 if TYPE_CHECKING:
     from repro.cache.store import StageCache
     from repro.exec.backends import ExecutionBackend
-    from repro.obs.ledger import RunLedger
+    from repro.obs.ledger import RunLedger, RunRecord
 
 ARENA_SCHEMA = "repro.bench.arena/1"
 
@@ -326,52 +326,46 @@ def run_arena(
         findings=all_findings,
     )
     if ledger is not None:
-        _record_arena_run(
-            ledger, result, config, plan, faults_text,
-            time.perf_counter() - sweep_start,
+        from repro.obs.ledger import record_run
+
+        wall_seconds = time.perf_counter() - sweep_start
+        record_run(
+            ledger,
+            lambda: _arena_record(result, config, plan, faults_text, wall_seconds),
         )
     return result
 
 
-def _record_arena_run(
-    ledger: RunLedger,
+def _arena_record(
     result: ArenaResult,
     config: ArenaConfig,
     plan: Any,
     faults_text: str,
     wall_seconds: float,
-) -> None:
-    """Append the sweep's ledger record; failures never fail the sweep."""
-    import logging
+) -> RunRecord:
+    """The sweep's ledger record, leaderboard attached."""
+    from repro.cache.fingerprint import config_digest
+    from repro.obs.ledger import arena_record, data_fault_digest, ledger_key
 
-    try:
-        from repro.cache.fingerprint import config_digest
-        from repro.obs.ledger import arena_record, data_fault_digest, ledger_key
-
-        cfg_digest = config_digest(config)
-        faults_digest = data_fault_digest(plan)
-        label = "arena:" + ",".join(result.packs)
-        record = arena_record(
-            key=ledger_key(
-                "arena",
-                label,
-                config_digest=cfg_digest,
-                faults_digest=faults_digest,
-                backend="serial",
-                jobs=1,
-            ),
-            label=label,
-            leaderboard=result.leaderboard(),
-            wall_seconds=wall_seconds,
+    cfg_digest = config_digest(config)
+    faults_digest = data_fault_digest(plan)
+    label = "arena:" + ",".join(result.packs)
+    return arena_record(
+        key=ledger_key(
+            "arena",
+            label,
             config_digest=cfg_digest,
             faults_digest=faults_digest,
-            faults=faults_text,
-        )
-        ledger.append(record)
-    except Exception:
-        logging.getLogger("repro.detect.arena").warning(
-            "ledger: failed to record arena run", exc_info=True
-        )
+            backend="serial",
+            jobs=1,
+        ),
+        label=label,
+        leaderboard=result.leaderboard(),
+        wall_seconds=wall_seconds,
+        config_digest=cfg_digest,
+        faults_digest=faults_digest,
+        faults=faults_text,
+    )
 
 
 # -- the committed summary -----------------------------------------------------

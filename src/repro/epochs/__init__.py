@@ -3,20 +3,18 @@
 A study grows by **epochs**: append-only ``repro-delta/1`` files carry
 the scan rows, pDNS observations, CT entries, and revocations that
 arrived since the last run.  The engine merges a delta onto the base
-bundle as an id-stable overlay, computes exactly which domains the
-delta can affect (the dirty set), and re-runs the stage kernels only
-over them — reusing the base run's banked cache products for every
-clean shard of the population.  The result is required to be
+bundle as an id-stable overlay, computes which domains' deployment
+encodings the delta invalidates (the dirty set), and re-encodes only
+those — reusing the base run's banked cache products for every clean
+domain of the population.  The result is required to be
 byte-identical to a full cold run over the merged dataset.
 
 * :mod:`repro.epochs.delta` — the delta file format and value object.
-* :mod:`repro.epochs.dirty` — the dirty-set scheduler.
-* :mod:`repro.epochs.engine` — merge + seeded incremental run.
+* :mod:`repro.epochs.engine` — merge, dirty set, seeded incremental run.
 """
 
 from repro.epochs.delta import DELTA_SCHEMA, EpochDelta, read_delta, write_delta
-from repro.epochs.dirty import DirtySet, compute_dirty_set
-from repro.epochs.engine import merge_inputs, run_epoch
+from repro.epochs.engine import DirtySet, compute_dirty_set, merge_inputs, run_epoch
 
 __all__ = [
     "DELTA_SCHEMA",

@@ -5,8 +5,8 @@ pDNS aggregate updates, and CT log entries that arrived since the last
 run over a base dataset.  It is append-only by construction — a delta
 never rewrites or retracts base evidence, which is precisely the
 property that makes the overlay merge (:mod:`repro.segments.overlay`)
-id-stable and the dirty-set computation (:mod:`repro.epochs.dirty`)
-exact.
+id-stable and the dirty set
+(:func:`repro.epochs.engine.compute_dirty_set`) exact.
 
 On disk a delta reuses the segment container
 (:mod:`repro.segments.format`): the header carries the schema, epoch

@@ -10,15 +10,18 @@ carried-over evidence.  The engine makes the epoch the unit of work:
    (:func:`repro.segments.overlay.extend_scan_table`), pDNS re-folds the
    observations, CT gains one delta log; the result is equivalent to
    datasets built cold from the concatenated evidence.
-2. **Schedule** exactly the domains the delta can affect
-   (:func:`repro.epochs.dirty.compute_dirty_set`).
+2. **Schedule** the domains whose deployment encoding the delta can
+   change (:func:`compute_dirty_set`): those with appended scan rows,
+   plus a flag for an in-period scan-calendar change.
 3. **Seed** the merged run's ``deployment_maps`` cache entry
    (:func:`run_epoch` via ``_seed_deployment``): clean domains reuse
    their base encodings verbatim — from the base run's stage entry or,
    when the base run was interrupted, from its per-shard products and
    resume manifest — and only dirty domains re-encode.  The pipeline
    then runs normally and finds step 1 already satisfied; downstream
-   stages re-run over the (small) funnel survivors as usual.
+   stages re-run over the (small) funnel survivors as usual, so a
+   delta's pDNS, CT or shared-infrastructure effects reach the report
+   without being scheduled.
 
 Reuse is *sound*, not heuristic, because of three invariants the test
 wall pins:
@@ -42,6 +45,7 @@ backend, warm or cold cache.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.core.pipeline import (
@@ -52,9 +56,9 @@ from repro.core.pipeline import (
 )
 from repro.ct.crtsh import CrtShService
 from repro.ct.log import CTLog
-from repro.epochs.dirty import DirtySet, compute_dirty_set
 from repro.exec.metrics import StageStats
 from repro.faults import DataQuality, FaultPlan, apply_faults
+from repro.obs.ledger import record_run
 from repro.pdns.database import PassiveDNSDatabase
 from repro.scan.dataset import ScanDataset
 from repro.segments.overlay import extend_scan_table
@@ -67,6 +71,35 @@ if TYPE_CHECKING:
 #: Sentinel for "this base ordinal's encoding is not available" in the
 #: shard-resume reuse path (distinct from an encoding that is empty).
 _MISSING = object()
+
+
+@dataclass(frozen=True)
+class DirtySet:
+    """What one epoch's delta invalidates in the base deployment encodings.
+
+    ``scan_direct`` holds the registered domains of the delta's scan rows
+    (brand-new domains included): a per-domain encoding is a pure
+    function of the domain's own rows, the scan calendar and the
+    periods, so these are the only domains whose encoding can change.
+    ``calendar_changed`` flags an added scan date inside a study period:
+    encodings embed per-period scan *indices*, so such a date
+    invalidates every encoding at once.
+    """
+
+    scan_direct: frozenset[str]
+    calendar_changed: bool
+
+
+def compute_dirty_set(inputs: PipelineInputs, delta: EpochDelta) -> DirtySet:
+    """The dirty set of ``delta`` over the base ``inputs``."""
+    existing = set(inputs.scan.scan_dates)
+    return DirtySet(
+        scan_direct=frozenset(base for row in delta.scan_rows for base in row[7]),
+        calendar_changed=any(
+            day not in existing and any(p.contains(day) for p in inputs.periods)
+            for day in delta.scan_dates
+        ),
+    )
 
 
 def merge_inputs(inputs: PipelineInputs, delta: EpochDelta) -> PipelineInputs:
@@ -148,7 +181,6 @@ def run_epoch(
     faults: FaultPlan | str | None = None,
     backend=None,
     cache: StageCache | None = None,
-    tracer=None,
     events=None,
     ledger=None,
     label: str = "epoch",
@@ -164,13 +196,14 @@ def run_epoch(
     dirty domains were re-encoded.  Without a cache the run is simply a
     cold run over the merged bundle.
 
-    The manifest gains an ``epoch`` section, and the run's metrics gain
-    ``epoch.domains_dirty`` / ``epoch.domains_reused`` counters (they
-    flow into the ledger record and the OpenMetrics exposition like any
-    other counter).  The two partition ``domains``, the population the
-    deployment stage sweeps after fault degradation: a domain is dirty
-    when this epoch recomputes its deployment encoding and reused when
-    it does not.  The dirty set's rings are reported under ``dirty``.
+    The manifest gains an ``epoch`` section, and the run's
+    ``metrics["counters"]`` gain ``epoch.domains_dirty`` /
+    ``epoch.domains_reused``.  The two partition ``domains``, the
+    population the deployment stage sweeps after fault degradation: a
+    domain is dirty when this epoch recomputes its deployment encoding
+    and reused when it does not.  A ``ledger`` receives the run's record
+    once both exist, so the counters reach the ledger and the
+    OpenMetrics exposition like any other counter.
     """
     config = config or PipelineConfig()
     plan = faults if isinstance(faults, FaultPlan) else FaultPlan.from_spec(faults)
@@ -184,33 +217,25 @@ def run_epoch(
         seeded, reused, recomputed, reason = _seed_deployment(
             inputs, degraded, dirty, plan, config, cache
         )
-    stats: dict[str, Any] = {
+
+    pipeline = HijackPipeline(merged, config=config, faults=plan)
+    report, metrics = pipeline.profile(backend, cache=cache, events=events)
+    metrics.epoch = {
         "epoch": delta.epoch,
         "label": delta.label,
         "delta": delta.counts(),
         "domains": n_domains,
         "domains_dirty": recomputed,
         "domains_reused": reused,
-        "dirty": dirty.counts(),
         "calendar_changed": dirty.calendar_changed,
         "seeded": seeded,
         "reuse_disabled": reason,
     }
-
-    pipeline = HijackPipeline(merged, config=config, faults=plan)
-    report, metrics = pipeline.profile(
-        backend,
-        tracer=tracer,
-        cache=cache,
-        events=events,
-        ledger=ledger,
-        label=label,
-    )
-    metrics.epoch = dict(stats)
-    counters = dict(metrics.metrics or {})
-    counters["epoch.domains_dirty"] = stats["domains_dirty"]
-    counters["epoch.domains_reused"] = stats["domains_reused"]
-    metrics.metrics = counters
+    counters = metrics.metrics["counters"]
+    counters["epoch.domains_dirty"] = recomputed
+    counters["epoch.domains_reused"] = reused
+    if ledger is not None:
+        record_run(ledger, lambda: pipeline.ledger_record(metrics, report, label))
     return report, metrics, dirty
 
 
@@ -384,4 +409,4 @@ def _base_products(
     return encoded
 
 
-__all__ = ["merge_inputs", "run_epoch"]
+__all__ = ["DirtySet", "compute_dirty_set", "merge_inputs", "run_epoch"]

@@ -3,11 +3,16 @@
 Zero-dependency instrumentation threaded through the staged executor,
 both backends, the fault layer, and the CLI:
 
-* ``trace`` — hierarchical spans (run → stage → task-chunk) with fault
-  retries / slowdowns / pool rebuilds as span events, exported as JSONL
-  and Chrome trace-event JSON (Perfetto / ``chrome://tracing``).
-  Opt-in: a disabled tracer is a no-op and untraced runs stay at
-  seed-baseline cost.
+* ``events`` — the executor's one observer channel: one event per
+  run/stage boundary, cache hit, task chunk and absorbed fault, through
+  composable sinks: a JSONL ``--events`` stream, a TTY progress line,
+  in-memory recording for tests.
+* ``trace`` — the :class:`Tracer` sink folds those events into a
+  hierarchical span tree (run → stage → task-chunk) with cache hits,
+  fault retries, slowdowns and pool rebuilds as instants, exported as
+  JSONL and Chrome trace-event JSON (Perfetto / ``chrome://tracing``).
+  Opt-in: an untraced run attaches no tracer, and a run's ``--events``
+  stream rebuilds the same trace offline.
 * ``metrics`` — a process-local registry of named counters, gauges, and
   latency histograms; worker snapshots ride the ``TaskEvent`` return
   path and are merged by the executor into the run manifest's
@@ -15,9 +20,6 @@ both backends, the fault layer, and the CLI:
 * ``memory`` — stage-boundary peak-RSS sampling (always on, one syscall
   per boundary) plus opt-in tracemalloc allocation deltas, recorded
   into run-manifest/5.
-* ``events`` — live heartbeat events (run/stage/chunk boundaries,
-  retries, ETA) through composable sinks: a JSONL ``--events`` stream,
-  a TTY progress line, in-memory recording for tests.
 * ``ledger`` — an append-only, checksummed on-disk history of every
   pipeline/arena run (schema ``repro-ledger/1``), queryable via
   ``repro-hunt runs``.
@@ -45,7 +47,6 @@ from repro.obs.events import (
 from repro.obs.exporters import render_openmetrics, validate_openmetrics
 from repro.obs.ledger import (
     LEDGER_SCHEMA,
-    LedgerInfo,
     RunLedger,
     RunRecord,
     ledger_key,
@@ -71,7 +72,7 @@ from repro.obs.provenance import (
     transitions_to_dicts,
 )
 from repro.obs.sentinel import SentinelReport, Tolerances, check_run, format_sentinel
-from repro.obs.trace import NULL_TRACER, Span, SpanEvent, Tracer
+from repro.obs.trace import Span, SpanEvent, Tracer
 
 __all__ = [
     "BUCKET_BOUNDS",
@@ -91,7 +92,6 @@ __all__ = [
     "render_openmetrics",
     "validate_openmetrics",
     "LEDGER_SCHEMA",
-    "LedgerInfo",
     "RunLedger",
     "RunRecord",
     "ledger_key",
@@ -110,7 +110,6 @@ __all__ = [
     "trail_from_pivot",
     "transitions_from_dicts",
     "transitions_to_dicts",
-    "NULL_TRACER",
     "Span",
     "SpanEvent",
     "Tracer",

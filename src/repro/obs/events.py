@@ -1,33 +1,43 @@
-"""Live progress events: the executor's heartbeat channel.
+"""Run events: the executor's one observer channel.
 
-The executor emits one structured event per run/stage boundary, per
-absorbed fault, and per completed task chunk, through a sink callback.
-Events are plain dicts — ``{"event": <name>, "ts": <unix seconds>,
+The executor reports each run boundary once — run and stage start and
+finish, cache hits, completed task chunks, absorbed faults — as one
+structured event to one sink.  Events are plain dicts —
+``{"event": <name>, "ts": <unix seconds>, "perf": <perf counter>,
 ...}`` — so sinks can be composed freely:
 
 * :class:`JsonlEventSink` appends one JSON line per event to a file
   (the ``--events FILE`` stream; schema ``repro.obs.events/1``);
 * :class:`TTYProgressSink` renders a single self-overwriting progress
   line (``[3/6] inspect … eta 0.4s``) on a terminal stream;
+* :class:`repro.obs.Tracer` folds the events into the run → stage →
+  task span tree (``--trace FILE``);
 * :class:`CompositeEventSink` fans one emission out to several sinks.
 
 Event names and payloads:
 
-==============  ==============================================================
-``run_start``   ``backend``, ``jobs``, ``total_stages``, ``stages`` (names)
-``stage_start`` ``stage``, ``index`` (1-based), ``total``
-``stage_finish`` ``stage``, ``index``, ``total``, ``wall_seconds``,
-                ``cached``, ``n_in``, ``n_out``, ``eta_seconds`` (estimated
-                time to run end from mean stage cost so far)
-``chunk``       ``stage``, ``kernel``, ``pid``, ``items``, ``seconds``
-``retry``       ``stage``, ``kernel``, ``kind`` (crash / pool_rebuild /
-                slow), ``attempt``
-``run_finish``  ``wall_seconds``, ``total_stages``
-==============  ==============================================================
+================  ============================================================
+``run_start``     ``backend``, ``jobs``, ``pid`` (the executor's process),
+                  ``total_stages``, ``stages`` (names)
+``stage_start``   ``stage``, ``index`` (1-based), ``total``, ``parallel``
+``cache_hit``     ``stage``, ``fingerprint`` — the stage was restored from
+                  the stage cache and runs no kernels
+``chunk``         ``stage``, ``kernel``, ``pid`` (the executing process),
+                  ``items``, ``seconds``, and the chunk's ``start`` /
+                  ``end`` perf-counter readings taken inside that process
+``retry``         ``stage``, ``kernel``, ``kind`` (crash / pool_rebuild /
+                  slow), ``attempt``
+``stage_finish``  ``stage``, ``index``, ``total``, ``wall_seconds``,
+                  ``cached``, ``n_in``, ``n_out``, ``eta_seconds``
+                  (estimated time to run end from mean stage cost so far)
+``run_finish``    ``wall_seconds``, ``total_stages``
+================  ============================================================
 
-Every event additionally carries ``ts`` (wall-clock Unix seconds).  The
-report is required to be byte-identical with events enabled or disabled
-— sinks observe the run, they never steer it.
+Every event additionally carries ``ts`` (wall-clock Unix seconds) and
+``perf`` (the emitting process's ``time.perf_counter()``, the timebase
+trace spans are drawn in).  The report is required to be byte-identical
+with events enabled or disabled — sinks observe the run, they never
+steer it.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ EVENTS_SCHEMA = "repro.obs.events/1"
 
 
 class EventSink:
-    """Base sink: receives every heartbeat event; default drops them."""
+    """Base sink: receives every run event; default drops them."""
 
     def emit(self, event: dict[str, Any]) -> None:  # pragma: no cover - interface
         pass
@@ -160,8 +170,9 @@ class EventRecorder(EventSink):
 
 
 def stamp(event: dict[str, Any]) -> dict[str, Any]:
-    """Attach the wall-clock timestamp every emitted event carries."""
+    """Attach the wall-clock and perf-counter stamps every event carries."""
     event["ts"] = round(time.time(), 6)
+    event["perf"] = time.perf_counter()
     return event
 
 

@@ -2,11 +2,12 @@
 
 A long-running detection service is only trustworthy if every run
 leaves a durable, comparable record.  The ledger is that record: one
-append per pipeline or arena run, written automatically at run end by
-the executor, holding the run's key digests (config, fault plan),
-per-stage wall/busy times and memory samples, cache accounting, the
-metrics-registry snapshot, the canonical report digest, and — for arena
-runs — the leaderboard rows.
+append per pipeline, epoch or arena run, written at run end by the
+run's owner from the finished run manifest through :func:`record_run`
+(which logs and swallows a failed append), holding the run's key
+digests (config, fault plan), per-stage wall/busy times and memory
+samples, cache accounting, the metrics-registry snapshot, the
+canonical report digest, and — for arena runs — the leaderboard rows.
 
 On-disk layout (schema ``repro-ledger/1``) under ``REPRO_LEDGER_DIR``
 (default ``.repro-ledger/``)::
@@ -44,7 +45,7 @@ import os
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.atomic import atomic_write
 from repro.io.golden import canonical_json
@@ -188,23 +189,6 @@ class IndexEntry:
     checksum: str
 
 
-@dataclass(frozen=True, slots=True)
-class LedgerInfo:
-    """The identity material a run hands the executor for its record.
-
-    Built by whoever owns the run's semantics (the pipeline, the arena)
-    and threaded to :meth:`PipelineExecutor.execute`, which fills in the
-    measured half from the run manifest.
-    """
-
-    kind: str
-    key: str
-    label: str
-    config_digest: str = ""
-    faults_digest: str = ""
-    faults: str = ""
-
-
 # -- key derivation ------------------------------------------------------------
 
 
@@ -270,12 +254,14 @@ def ledger_key(
     )
 
 
-def record_from_metrics(metrics: RunMetrics, info: LedgerInfo) -> RunRecord:
-    """Assemble a ledger record from a finished run's manifest."""
+def record_from_metrics(metrics: RunMetrics, **identity: Any) -> RunRecord:
+    """Assemble a ledger record from a finished run's manifest.
+
+    ``identity`` holds the :class:`RunRecord` fields the manifest cannot
+    know: ``kind``, ``key`` and ``label``, plus the config and fault
+    digests, the fault spec and the report digest where the run has them.
+    """
     return RunRecord(
-        kind=info.kind,
-        key=info.key,
-        label=info.label,
         recorded_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         backend=metrics.backend,
         jobs=metrics.jobs,
@@ -286,10 +272,25 @@ def record_from_metrics(metrics: RunMetrics, info: LedgerInfo) -> RunRecord:
         memory=metrics.memory,
         metrics=metrics.metrics,
         data_quality=metrics.data_quality,
-        config_digest=info.config_digest,
-        faults_digest=info.faults_digest,
-        faults=info.faults,
+        **identity,
     )
+
+
+def record_run(ledger: RunLedger, build: Callable[[], RunRecord]) -> str | None:
+    """Append the record ``build()`` returns; the run id, or None on failure.
+
+    Telemetry must never fail a run that computed its answer: a failure
+    to build or append the record is logged and swallowed.
+    """
+    try:
+        run_id = ledger.append(build())
+    except Exception:
+        logger.warning(
+            "ledger: failed to record run in %s", ledger.root, exc_info=True
+        )
+        return None
+    logger.debug("ledger: recorded run %s", run_id)
+    return run_id
 
 
 # -- the store -----------------------------------------------------------------
@@ -679,7 +680,6 @@ __all__ = [
     "LEDGER_ENV_VAR",
     "LEDGER_SCHEMA",
     "IndexEntry",
-    "LedgerInfo",
     "RunLedger",
     "RunRecord",
     "arena_record",
@@ -690,4 +690,5 @@ __all__ = [
     "ledger_dir_from_env",
     "ledger_key",
     "record_from_metrics",
+    "record_run",
 ]

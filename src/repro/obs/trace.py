@@ -1,17 +1,34 @@
 """Hierarchical run tracing with Chrome trace-event export.
 
 A trace is a tree of spans — run → stage → task-chunk — plus point
-events (fault retries, injected slowdowns, pool rebuilds) attached to
-whichever span was open when they happened.  Parent-side spans are
-opened and closed with :meth:`Tracer.span`; worker-side chunk timings
-ride home on the existing ``TaskEvent`` return path and are grafted in
-with :meth:`Tracer.add_task_span`, so no extra IPC channel exists for
-tracing.
+events (cache hits, fault retries, injected slowdowns, pool rebuilds)
+attached to whichever span was open when they happened.  The
+:class:`Tracer` is an :class:`repro.obs.EventSink`: it builds the tree
+by folding the executor's run events (the table is in
+:mod:`repro.obs.events`), so it has no hook of its own and a run's
+``--events`` stream rebuilds the same trace offline::
 
-Timestamps are ``time.perf_counter()`` readings.  On platforms where
-that clock is system-wide (Linux ``CLOCK_MONOTONIC``) worker and parent
-spans share a timebase; elsewhere worker tracks may be offset, which
-skews the picture but never the durations.
+    tracer = Tracer()
+    for event in read_events("events.jsonl"):
+        tracer.emit(event)
+
+* ``run_start`` / ``run_finish`` open and close the run span, on the
+  parent's pid;
+* ``stage_start`` / ``stage_finish`` open and close a stage span;
+* ``chunk`` grafts a task span under the open stage: its ``start`` and
+  ``end`` were measured inside the executing process and rode home on
+  the chunk's ``TaskEvent``, so no extra IPC channel exists for
+  tracing, and the span lands on the worker's pid so each worker
+  renders as its own track;
+* ``cache_hit`` and ``retry`` become instants on the innermost open
+  span.  Any other event kind (the JSONL ``header`` line, say) is
+  ignored.
+
+Span times are the events' ``perf`` stamps, ``time.perf_counter()``
+readings.  On platforms where that clock is system-wide (Linux
+``CLOCK_MONOTONIC``) worker and parent spans share a timebase;
+elsewhere worker tracks may be offset, which skews the picture but
+never the durations.
 
 Two export formats:
 
@@ -20,25 +37,22 @@ Two export formats:
 * :meth:`Tracer.write_chrome` — the Chrome trace-event JSON object
   format, loadable in Perfetto or ``chrome://tracing``.
 
-A disabled tracer (``Tracer(enabled=False)``, or the shared
-:data:`NULL_TRACER`) turns every call into an immediate no-op, which is
-what keeps untraced runs at seed-baseline cost.
+An untraced run attaches no tracer and pays nothing for it.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from time import perf_counter
-from typing import Any, Iterator
+from typing import Any
+
+from repro.obs.events import EventSink
 
 
 @dataclass
 class SpanEvent:
-    """A point-in-time annotation on a span (retry, slowdown, rebuild)."""
+    """A point-in-time annotation on a span (cache hit, retry, slowdown, rebuild)."""
 
     name: str
     ts: float
@@ -64,72 +78,77 @@ class Span:
         return self.end - self.start
 
 
-class Tracer:
-    """Collects one run's span tree; inert when ``enabled`` is False."""
+class Tracer(EventSink):
+    """Folds one run's event stream into its span tree."""
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._spans: list[Span] = []
         self._stack: list[Span] = []
         self._next_id = 1
+        self._pid = 0
 
-    # -- recording -----------------------------------------------------------
+    # -- folding -------------------------------------------------------------
 
-    @contextmanager
-    def span(self, name: str, category: str, **attrs: Any) -> Iterator[Span | None]:
-        """Open a child of the innermost open span for the block's duration."""
-        if not self.enabled:
-            yield None
-            return
+    def emit(self, event: dict[str, Any]) -> None:
+        kind = event.get("event")
+        if kind == "run_start":
+            self._pid = event["pid"]
+            self._open(
+                "run", "run", event["perf"],
+                backend=event["backend"], jobs=event["jobs"],
+            )
+        elif kind == "stage_start":
+            self._open(
+                event["stage"], "stage", event["perf"], parallel=event["parallel"]
+            )
+        elif kind in ("stage_finish", "run_finish"):
+            if self._stack:
+                span = self._stack.pop()
+                span.end = event["perf"]
+                self._spans.append(span)
+        elif kind == "chunk" and "start" in event:
+            self._spans.append(
+                self._span(
+                    f"chunk:{event['kernel']}", "task", event["start"],
+                    event["end"], event["pid"], items=event["items"],
+                )
+            )
+        elif kind == "cache_hit":
+            self._instant(
+                "cache_hit", event["perf"],
+                stage=event["stage"], fingerprint=event["fingerprint"],
+            )
+        elif kind == "retry":
+            self._instant(
+                event["kind"], event["perf"],
+                kernel=event["kernel"], attempt=event["attempt"],
+            )
+
+    def _span(
+        self, name: str, category: str, start: float, end: float, pid: int,
+        **attrs: Any,
+    ) -> Span:
+        """A new child of the innermost open span."""
         span = Span(
             span_id=self._next_id,
             parent_id=self._stack[-1].span_id if self._stack else None,
             name=name,
             category=category,
-            start=perf_counter(),
-            end=0.0,
-            pid=os.getpid(),
-            attrs=dict(attrs),
+            start=start,
+            end=end,
+            pid=pid,
+            attrs=attrs,
         )
         self._next_id += 1
-        self._stack.append(span)
-        try:
-            yield span
-        finally:
-            span.end = perf_counter()
-            self._stack.pop()
-            self._spans.append(span)
+        return span
 
-    def event(self, name: str, **attrs: Any) -> None:
-        """Attach a point event to the innermost open span."""
-        if not self.enabled or not self._stack:
-            return
-        self._stack[-1].events.append(SpanEvent(name, perf_counter(), dict(attrs)))
+    def _open(self, name: str, category: str, start: float, **attrs: Any) -> None:
+        """Open a span; the matching ``*_finish`` event closes it."""
+        self._stack.append(self._span(name, category, start, 0.0, self._pid, **attrs))
 
-    def add_task_span(
-        self, name: str, start: float, end: float, pid: int, **attrs: Any
-    ) -> None:
-        """Graft a worker-measured chunk span under the open stage span.
-
-        The (start, end) pair traveled back with the chunk's
-        ``TaskEvent``; the span is recorded against the *worker's* pid
-        so each worker renders as its own track.
-        """
-        if not self.enabled:
-            return
-        self._spans.append(
-            Span(
-                span_id=self._next_id,
-                parent_id=self._stack[-1].span_id if self._stack else None,
-                name=name,
-                category="task",
-                start=start,
-                end=end,
-                pid=pid,
-                attrs=dict(attrs),
-            )
-        )
-        self._next_id += 1
+    def _instant(self, name: str, ts: float, **attrs: Any) -> None:
+        if self._stack:
+            self._stack[-1].events.append(SpanEvent(name, ts, attrs))
 
     # -- reading -------------------------------------------------------------
 
@@ -232,6 +251,3 @@ class Tracer:
     def write_chrome(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_chrome(), indent=1) + "\n")
 
-
-#: Shared inert tracer: every record call is a single attribute test.
-NULL_TRACER = Tracer(enabled=False)

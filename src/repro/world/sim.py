@@ -76,7 +76,6 @@ class StudyDatasets:
         config: PipelineConfig | None = None,
         backend: ExecutionBackend | None = None,
         faults=None,
-        tracer=None,
         cache=None,
         events=None,
         memory: bool = False,
@@ -84,16 +83,15 @@ class StudyDatasets:
     ) -> tuple[PipelineReport, RunMetrics]:
         """Run the pipeline and return its report plus the run manifest.
 
-        ``tracer`` takes an enabled :class:`repro.obs.Tracer` to collect
-        the run's hierarchical span tree alongside the manifest; ``cache``
-        takes a :class:`repro.cache.StageCache` to satisfy repeat runs
-        from disk; ``events`` a live :class:`repro.obs.EventSink`;
-        ``ledger`` a :class:`repro.obs.RunLedger` to record the run in;
-        ``memory=True`` traces per-stage allocations.
+        ``cache`` takes a :class:`repro.cache.StageCache` to satisfy
+        repeat runs from disk; ``events`` an :class:`repro.obs.EventSink`
+        observing the run (a :class:`repro.obs.Tracer` collects its
+        hierarchical span tree); ``ledger`` a :class:`repro.obs.RunLedger`
+        to record the run in; ``memory=True`` traces per-stage
+        allocations.
         """
         return self.pipeline(config, faults=faults).profile(
-            backend, tracer=tracer, cache=cache,
-            events=events, memory=memory, ledger=ledger,
+            backend, cache=cache, events=events, memory=memory, ledger=ledger,
         )
 
 

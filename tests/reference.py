@@ -12,10 +12,15 @@ the classification table — and are the oracles the Hypothesis and funnel
 differentials compare the production paths against.  The channel models
 expose the query methods the inspection stage calls, so an
 :class:`~repro.core.inspection.Inspector` can run over them unchanged.
+
+:func:`reference_dirty_rings` is the soundness oracle of the epoch
+engine's dirty set: every domain a delta can affect, through any
+evidence channel, by widening ring.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Iterable
 
@@ -526,3 +531,137 @@ class ReferenceShortlister(Shortlister):
                 )
                 decisions.append(PruneDecision(domain, period_index, True, "shortlisted"))
         return entries, decisions
+
+
+# -- the epoch dirty-set rings -------------------------------------------------
+
+
+def _registered(name: str) -> str | None:
+    try:
+        return registered_domain(name[2:] if name.startswith("*.") else name)
+    except ValueError:
+        return None
+
+
+@dataclass(frozen=True)
+class ReferenceDirtyRings:
+    """The domains one epoch's delta can affect, by widening ring.
+
+    * ``scan_direct`` — registered domains of appended scan rows
+      (including brand-new domains); the only ring the engine's
+      :func:`~repro.epochs.engine.compute_dirty_set` keeps, because it
+      alone decides deployment-map reuse.
+    * ``pdns_touched`` / ``ct_touched`` — registered domains of appended
+      pDNS observations and CT entries (the channels inspection reads),
+      plus the SAN domains of revoked certificates.
+    * ``transitive`` — one hop over shared evidence: domains whose base
+      scan rows share an IP, ASN, or certificate with the delta's rows
+      (or with a directly-touched domain's rows), plus domains
+      co-resolving to an rdata the delta's pDNS observations mention.
+      This bounds how far the pivot stage can carry a delta's influence
+      in one run.
+
+    Soundness — every domain whose report changes between the base run
+    and the merged run is in ``all_dirty`` — may over-approximate, never
+    under-approximate.
+    """
+
+    scan_direct: frozenset[str]
+    pdns_touched: frozenset[str]
+    ct_touched: frozenset[str]
+    transitive: frozenset[str]
+
+    @property
+    def all_dirty(self) -> frozenset[str]:
+        return self.scan_direct | self.pdns_touched | self.ct_touched | self.transitive
+
+
+def reference_dirty_rings(inputs, delta) -> ReferenceDirtyRings:
+    """The exact rings of ``delta`` over the base ``inputs``."""
+    table = inputs.scan.table
+
+    # -- ring 1: domains with appended scan rows ------------------------------
+    scan_direct: set[str] = set()
+    for row in delta.scan_rows:
+        scan_direct.update(row[7])
+
+    # -- ring 2: channels inspection reads ------------------------------------
+    pdns_touched: set[str] = set()
+    for rrname, _rtype, _rdata, _day in delta.pdns_observations:
+        base = _registered(rrname.lower())
+        if base is not None:
+            pdns_touched.add(base)
+    ct_touched: set[str] = set()
+    for cert, _day in delta.ct_entries:
+        for san in cert.sans:
+            base = _registered(san)
+            if base is not None:
+                ct_touched.add(base)
+    for fingerprint, _on, _reason in delta.revocations:
+        ct_touched.update(_cert_domains(inputs, delta, fingerprint))
+
+    # -- ring 3: one hop over shared scan evidence ----------------------------
+    hot_ips: set[str] = set()
+    hot_asns: set[int] = set()
+    hot_certs: set[str] = set()
+    for row in delta.scan_rows:
+        hot_ips.add(row[1])
+        hot_asns.add(row[2])
+        hot_certs.add(row[3].fingerprint)
+    # A directly-touched domain's *existing* evidence is hot too: the
+    # pivot can link through infrastructure the domain already had.
+    for name in scan_direct:
+        lo, hi = table.domain_slice(name)
+        for i in range(lo, hi):
+            row = table.csr_rows[i]
+            hot_ips.add(table.ips[table.ip_id[row]])
+            hot_asns.add(table.asns[table.asn_id[row]])
+            hot_certs.add(table.cert_fps[table.cert_id[row]])
+
+    hot_ip_ids = {i for i, ip in enumerate(table.ips) if ip in hot_ips}
+    hot_asn_ids = {i for i, asn in enumerate(table.asns) if asn in hot_asns}
+    hot_cert_ids = {i for i, fp in enumerate(table.cert_fps) if fp in hot_certs}
+    transitive: set[str] = set()
+    for row in range(len(table)):
+        if (
+            table.ip_id[row] in hot_ip_ids
+            or table.asn_id[row] in hot_asn_ids
+            or table.cert_id[row] in hot_cert_ids
+        ):
+            transitive.update(table.base_sets[table.bases_id[row]])
+
+    # -- ring 3b: pDNS rdata overlap ------------------------------------------
+    delta_rdatas = {rdata for _n, _t, rdata, _d in delta.pdns_observations}
+    for record in inputs.pdns.all_records():
+        if record.rdata in delta_rdatas:
+            base = _registered(record.rrname.lower())
+            if base is not None:
+                transitive.add(base)
+
+    return ReferenceDirtyRings(
+        scan_direct=frozenset(scan_direct),
+        pdns_touched=frozenset(pdns_touched),
+        ct_touched=frozenset(ct_touched),
+        transitive=frozenset(transitive),
+    )
+
+
+def _cert_domains(inputs, delta, fingerprint: str) -> set[str]:
+    """Registered domains named by one revoked certificate.
+
+    The certificate may live in the base CT logs or arrive in this very
+    delta (revoked-on-arrival), so both views are searched.
+    """
+    certs = [
+        entry.certificate
+        for log in inputs.crtsh._logs
+        for entry in log.entries()
+        if entry.certificate.fingerprint == fingerprint
+    ]
+    certs += [cert for cert, _day in delta.ct_entries if cert.fingerprint == fingerprint]
+    return {
+        base
+        for cert in certs
+        for san in cert.sans
+        if (base := _registered(san)) is not None
+    }

@@ -1,5 +1,5 @@
-"""The epoch layer: delta files, the dirty-set scheduler, and the
-incremental engine.
+"""The epoch layer: delta files, the dirty set, and the incremental
+engine.
 
 The non-negotiable oracle throughout is byte-identity: every
 ``run_epoch`` variant — no cache, cold cache, seeded warm cache,
@@ -44,6 +44,8 @@ from repro.scan.dataset import ScanDataset
 from repro.scan.table import ScanTable
 from repro.segments.format import Segment, SegmentError, SegmentWriter
 from repro.world.scale import make_delta, scale_world
+
+from tests.reference import reference_dirty_rings
 
 # One small world, built once: every test below reads it, none mutates.
 _WORLDS: dict = {}
@@ -163,7 +165,7 @@ class TestDirtySet:
         dirty = compute_dirty_set(_world(), delta)
         churned = {base for row in delta.scan_rows for base in row[7]}
         assert dirty.scan_direct == frozenset(churned)
-        assert dirty.counts()["total"] == len(dirty.all_dirty)
+        assert dirty.scan_direct == reference_dirty_rings(_world(), delta).scan_direct
 
     def test_out_of_period_calendar_addition_is_clean(self):
         dirty = compute_dirty_set(_world(), _delta())
@@ -185,7 +187,7 @@ class TestDirtySet:
     def test_transitive_ring_follows_shared_certificates(self):
         world = _world()
         delta = _delta(world)
-        dirty = compute_dirty_set(world, delta)
+        dirty = reference_dirty_rings(world, delta)
         # Every churned active's *base* certificate is hot, and the
         # background population draws from the same 64-cert pool: the
         # background domain with the matching pool slot must be dirty.
@@ -206,7 +208,7 @@ class TestDirtySet:
     def test_pdns_ring_covers_delta_observations(self):
         world = _world()
         delta = _delta(world)
-        dirty = compute_dirty_set(world, delta)
+        dirty = reference_dirty_rings(world, delta)
         for rrname, _rtype, _rdata, _day in delta.pdns_observations:
             assert registered_domain(rrname) in dirty.pdns_touched
 
@@ -221,7 +223,7 @@ class TestDirtySet:
                 ("evil.example.org", RRType.A, "203.0.0.0", date(2019, 5, 1)),
             ),
         )
-        dirty = compute_dirty_set(world, delta)
+        dirty = reference_dirty_rings(world, delta)
         assert registered_domain("active-00000.example.com") in dirty.transitive
 
     def test_revocation_ring_reaches_cert_san_domains(self):
@@ -232,7 +234,7 @@ class TestDirtySet:
             delta,
             revocations=((cert.fingerprint, date(2019, 8, 1), "keyCompromise"),),
         )
-        dirty = compute_dirty_set(world, revoking)
+        dirty = reference_dirty_rings(world, revoking)
         for san in cert.sans:
             assert registered_domain(san) in dirty.ct_touched
 
@@ -321,8 +323,9 @@ def _assert_partition(metrics, population: int) -> None:
     assert metrics.stages[0].name == "deployment_maps"
     assert metrics.stages[0].n_in == population
     assert epoch["domains_dirty"] + epoch["domains_reused"] == population
-    assert metrics.metrics["epoch.domains_dirty"] == epoch["domains_dirty"]
-    assert metrics.metrics["epoch.domains_reused"] == epoch["domains_reused"]
+    counters = metrics.metrics["counters"]
+    assert counters["epoch.domains_dirty"] == epoch["domains_dirty"]
+    assert counters["epoch.domains_reused"] == epoch["domains_reused"]
 
 
 def _population(world, delta, faults=None) -> int:
@@ -342,7 +345,7 @@ class TestRunEpoch:
         assert metrics.epoch["domains_dirty"] == _population(world, delta)
         assert metrics.epoch["domains_reused"] == 0
         _assert_partition(metrics, _population(world, delta))
-        assert metrics.epoch["dirty"] == dirty.counts()
+        assert metrics.epoch["calendar_changed"] is dirty.calendar_changed
 
     def test_seeded_warm_cache_reuses_clean_domains(self, tmp_path):
         world = _world()
@@ -363,6 +366,21 @@ class TestRunEpoch:
         _assert_partition(metrics, _population(world, delta))
         # The pipeline's own sweep became a cache hit.
         assert metrics.stages[0].cached is True
+
+    def test_epoch_counters_reach_ledger_and_openmetrics(self, tmp_path):
+        from repro.obs import RunLedger, render_openmetrics
+
+        world = _world()
+        delta = _delta(world)
+        cache = StageCache(tmp_path / "cache")
+        HijackPipeline(world).profile(cache=cache)
+        ledger = RunLedger(tmp_path / "ledger")
+        _report, metrics, _dirty = run_epoch(world, delta, cache=cache, ledger=ledger)
+        counters = ledger.latest().metrics["counters"]
+        assert counters["epoch.domains_dirty"] == metrics.epoch["domains_dirty"]
+        assert counters["epoch.domains_reused"] == metrics.epoch["domains_reused"]
+        assert metrics.epoch["domains_reused"] > 0
+        assert "repro_epoch_domains_dirty_total" in render_openmetrics(metrics.metrics)
 
     def test_cold_cache_declines_but_stays_identical(self, tmp_path):
         world = _world()

@@ -267,7 +267,7 @@ def test_traced_run_is_byte_identical_serial():
 
     tracer = Tracer()
     report, _metrics = _study(GOLDEN_SEEDS[0]).profile_pipeline(
-        backend=SerialBackend(), tracer=tracer
+        backend=SerialBackend(), events=tracer
     )
     assert encode_report(report) == _golden_text(GOLDEN_SEEDS[0])
     assert tracer.spans  # it really was tracing
@@ -278,7 +278,7 @@ def test_traced_run_is_byte_identical_process_pool():
 
     tracer = Tracer()
     report, _metrics = _study(GOLDEN_SEEDS[0]).profile_pipeline(
-        backend=ProcessPoolBackend(jobs=2), tracer=tracer
+        backend=ProcessPoolBackend(jobs=2), events=tracer
     )
     assert encode_report(report) == _golden_text(GOLDEN_SEEDS[0])
     assert tracer.worker_pids()

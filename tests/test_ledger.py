@@ -249,7 +249,7 @@ def test_diff_covers_stage_time_memory_and_cache(tmp_path):
 
 
 def test_diff_on_two_real_seeded_runs(tmp_path):
-    """Two pipeline runs recorded via the executor diff cleanly."""
+    """Two pipeline runs recorded from their manifests diff cleanly."""
     from repro.world.scenarios import build_pack
 
     ledger = RunLedger(tmp_path / "ledger")

@@ -1,8 +1,9 @@
 """The ``repro.obs`` observability layer.
 
-Covers the PR's contracts: the tracer builds a run → stage → task-chunk
-span tree and exports valid Chrome trace-event JSON; a disabled tracer
-is a no-op; the metrics registry counts, merges, and drains correctly
+Covers the layer's contracts: the tracer folds the executor's run events
+into a run → stage → task-chunk span tree and exports valid Chrome
+trace-event JSON, live or replayed from a run's event stream; a tracer
+attached to no run stays empty; the metrics registry counts, merges, and drains correctly
 across the worker boundary; and every identified domain carries a
 provenance trail that survives the findings JSONL round trip.
 """
@@ -16,8 +17,8 @@ import pytest
 
 from repro.exec import ProcessPoolBackend, SerialBackend
 from repro.obs import (
+    EVENTS_SCHEMA,
     EVIDENCE_KINDS,
-    NULL_TRACER,
     EvidenceRef,
     FunnelTransition,
     MetricsRegistry,
@@ -38,34 +39,72 @@ from repro.obs.metrics import BUCKET_BOUNDS
 # tracer
 
 
+def _fold(*events: dict) -> Tracer:
+    tracer = Tracer()
+    for event in events:
+        tracer.emit(event)
+    return tracer
+
+
+def _run_start(perf: float, pid: int = 4000) -> dict:
+    return {"event": "run_start", "perf": perf, "pid": pid, "backend": "serial", "jobs": 1}
+
+
+def _stage_start(name: str, perf: float) -> dict:
+    return {"event": "stage_start", "perf": perf, "stage": name, "parallel": True}
+
+
+def _finish(kind: str, perf: float) -> dict:
+    return {"event": kind, "perf": perf}
+
+
 class TestTracer:
     def test_span_nesting_records_parent_ids(self):
-        tracer = Tracer()
-        with tracer.span("run", category="run") as run:
-            with tracer.span("classify", category="stage") as stage:
-                assert stage.parent_id == run.span_id
+        tracer = _fold(
+            _run_start(1.0),
+            _stage_start("classify", 1.1),
+            _finish("stage_finish", 1.4),
+            _finish("run_finish", 1.5),
+        )
         spans = tracer.spans
         assert [s.name for s in spans] == ["classify", "run"]  # completion order
+        assert spans[0].parent_id == spans[1].span_id
         assert spans[1].parent_id is None
+        assert spans[0].attrs == {"parallel": True}
+        assert spans[1].attrs == {"backend": "serial", "jobs": 1}
         assert all(s.end >= s.start for s in spans)
 
     def test_event_attaches_to_innermost_open_span(self):
-        tracer = Tracer()
-        with tracer.span("run", category="run"):
-            with tracer.span("inspect", category="stage"):
-                tracer.event("retry", kernel="inspect", attempt=1)
+        tracer = _fold(
+            _run_start(1.0),
+            _stage_start("inspect", 1.1),
+            {"event": "retry", "perf": 1.2, "stage": "inspect", "kernel": "inspect",
+             "kind": "crash", "attempt": 1},
+            {"event": "cache_hit", "perf": 1.3, "stage": "inspect", "fingerprint": "ab"},
+            _finish("stage_finish", 1.4),
+            _finish("run_finish", 1.5),
+        )
         stage = next(s for s in tracer.spans if s.name == "inspect")
-        assert [e.name for e in stage.events] == ["retry"]
+        assert [e.name for e in stage.events] == ["crash", "cache_hit"]
         assert stage.events[0].attrs == {"kernel": "inspect", "attempt": 1}
+        assert stage.events[1].attrs == {"stage": "inspect", "fingerprint": "ab"}
         run = next(s for s in tracer.spans if s.name == "run")
         assert run.events == []
 
     def test_task_span_grafts_under_open_stage(self):
-        tracer = Tracer()
-        with tracer.span("run", category="run"):
-            with tracer.span("classify", category="stage") as stage:
-                tracer.add_task_span("chunk:classify", 1.0, 2.5, pid=4242, items=7)
-        task = next(s for s in tracer.spans if s.category == "task")
+        chunk = {"event": "chunk", "perf": 3.0, "stage": "classify", "kernel": "classify",
+                 "pid": 4242, "items": 7, "seconds": 1.5}
+        tracer = _fold(
+            _run_start(0.5),
+            _stage_start("classify", 0.9),
+            {**chunk, "start": 1.0, "end": 2.5},
+            chunk,  # no worker-measured start/end: no span
+            _finish("stage_finish", 3.0),
+            _finish("run_finish", 3.1),
+        )
+        stage = next(s for s in tracer.spans if s.category == "stage")
+        (task,) = [s for s in tracer.spans if s.category == "task"]
+        assert task.name == "chunk:classify"
         assert task.parent_id == stage.span_id
         assert task.pid == 4242
         assert task.duration == pytest.approx(1.5)
@@ -73,20 +112,28 @@ class TestTracer:
         assert tracer.worker_pids() == {4242}
 
     def test_disabled_tracer_is_inert(self):
-        tracer = Tracer(enabled=False)
-        with tracer.span("run", category="run") as span:
-            assert span is None
-            tracer.event("retry")
-            tracer.add_task_span("chunk", 0.0, 1.0, pid=1)
+        # Attached to no run: closing and instant events find no open span.
+        tracer = _fold(
+            {"event": "retry", "perf": 1.1, "stage": "classify", "kernel": "classify",
+             "kind": "slow", "attempt": 0},
+            {"event": "cache_hit", "perf": 1.1, "stage": "classify", "fingerprint": "ab"},
+            _finish("stage_finish", 1.2),
+            _finish("run_finish", 1.3),
+        )
         assert tracer.spans == []
-        assert NULL_TRACER.enabled is False
-        assert NULL_TRACER.spans == []
+        # Unknown kinds, such as the JSONL stream's header, are ignored.
+        tracer = _fold({"event": "header", "schema": EVENTS_SCHEMA}, {"event": "progress"})
+        assert tracer.spans == []
+        assert tracer.to_chrome()["traceEvents"] == []
+        assert tracer.to_jsonl() == ""
 
     def test_jsonl_export_is_one_parseable_line_per_span(self):
-        tracer = Tracer()
-        with tracer.span("run", category="run"):
-            with tracer.span("stage", category="stage"):
-                pass
+        tracer = _fold(
+            _run_start(1.0),
+            _stage_start("stage", 1.1),
+            _finish("stage_finish", 1.2),
+            _finish("run_finish", 1.3),
+        )
         lines = tracer.to_jsonl().splitlines()
         assert len(lines) == 2
         rows = [json.loads(line) for line in lines]
@@ -95,11 +142,16 @@ class TestTracer:
         assert min(row["ts_us"] for row in rows) == 0.0
 
     def test_chrome_export_shape(self):
-        tracer = Tracer()
-        with tracer.span("run", category="run", backend="serial"):
-            with tracer.span("inspect", category="stage"):
-                tracer.event("retry", attempt=2)
-                tracer.add_task_span("chunk:inspect", 0.0, 0.1, pid=999)
+        tracer = _fold(
+            _run_start(1.0, pid=os.getpid()),
+            _stage_start("inspect", 1.1),
+            {"event": "retry", "perf": 1.2, "stage": "inspect", "kernel": "inspect",
+             "kind": "crash", "attempt": 2},
+            {"event": "chunk", "perf": 1.3, "stage": "inspect", "kernel": "inspect",
+             "pid": 999, "items": 1, "seconds": 0.1, "start": 1.15, "end": 1.25},
+            _finish("stage_finish", 1.4),
+            _finish("run_finish", 1.5),
+        )
         data = tracer.to_chrome()
         events = data["traceEvents"]
         phases = {e["ph"] for e in events}
@@ -112,9 +164,7 @@ class TestTracer:
         assert {e["pid"] for e in metadata} == {os.getpid(), 999}
 
     def test_write_exports_to_disk(self, tmp_path):
-        tracer = Tracer()
-        with tracer.span("run", category="run"):
-            pass
+        tracer = _fold(_run_start(1.0), _finish("run_finish", 1.5))
         chrome = tmp_path / "trace.json"
         jsonl = tmp_path / "trace.spans.jsonl"
         tracer.write_chrome(chrome)
@@ -295,7 +345,7 @@ class TestPipelineProvenance:
 def traced_serial(small_study):
     tracer = Tracer()
     report, metrics = small_study.profile_pipeline(
-        backend=SerialBackend(), tracer=tracer
+        backend=SerialBackend(), events=tracer
     )
     return report, metrics, tracer
 
@@ -334,7 +384,39 @@ class TestExecutorObservability:
         _r, serial_metrics, _t = traced_serial
         tracer = Tracer()
         _report, pool_metrics = small_study.profile_pipeline(
-            backend=ProcessPoolBackend(jobs=2), tracer=tracer
+            backend=ProcessPoolBackend(jobs=2), events=tracer
         )
         assert pool_metrics.metrics["counters"] == serial_metrics.metrics["counters"]
         assert any(pid != os.getpid() for pid in tracer.worker_pids())
+
+    def test_trace_is_a_fold_of_the_event_stream(self, paper, tmp_path):
+        """A replay of a run's event stream draws the live trace exactly;
+        a warm run marks every stage it restored from the cache."""
+        from repro.cache import StageCache
+        from repro.obs import CompositeEventSink, JsonlEventSink, read_events
+
+        cache = StageCache(tmp_path / "cache")
+        traces = {}
+        for run in ("cold", "warm"):
+            live = Tracer()
+            path = tmp_path / f"{run}.jsonl"
+            sink = CompositeEventSink([live, JsonlEventSink(path)])
+            try:
+                paper.profile_pipeline(
+                    backend=ProcessPoolBackend(jobs=2), cache=cache, events=sink
+                )
+            finally:
+                sink.close()
+            replay = Tracer()
+            for event in read_events(path):
+                replay.emit(event)
+            assert replay.to_chrome() == live.to_chrome()
+            traces[run] = live
+        cold_tasks = [s for s in traces["cold"].spans if s.category == "task"]
+        assert len({s.pid for s in cold_tasks}) >= 2
+        for run, hit in (("cold", False), ("warm", True)):
+            stages = [s for s in traces[run].spans if s.category == "stage"]
+            assert len(stages) == 6
+            for stage in stages:
+                instants = [(e.name, e.attrs["stage"]) for e in stage.events]
+                assert instants == ([("cache_hit", stage.name)] if hit else [])

