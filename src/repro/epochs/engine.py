@@ -6,10 +6,14 @@ updated report *now* — not after a full re-run over three years of
 carried-over evidence.  The engine makes the epoch the unit of work:
 
 1. **Merge** the delta onto the base bundle as an overlay
-   (:func:`merge_inputs`).  The scan table extends id-stably
-   (:func:`repro.segments.overlay.extend_scan_table`), pDNS re-folds the
-   observations, CT gains one delta log; the result is equivalent to
-   datasets built cold from the concatenated evidence.
+   (:func:`merge_inputs`).  The scan table extends id-stably in
+   O(delta) Python work (:func:`repro.segments.overlay.extend_scan_table`:
+   delta values intern by bisecting the base pools' stored sorted
+   orders, clean CSR runs copy as buffers, and a stack of epochs
+   carries its lookups forward), pDNS re-folds the observations, CT
+   gains one delta log; the result is equivalent to datasets built
+   cold from the concatenated evidence.  The pDNS and CT merges still
+   walk their base tables.
 2. **Schedule** the domains whose deployment encoding the delta can
    change (:func:`compute_dirty_set`): those with appended scan rows,
    plus a flag for an in-period scan-calendar change.

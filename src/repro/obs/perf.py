@@ -8,8 +8,8 @@ tracks across commits and Python versions:
   the columnar :class:`~repro.scan.table.ScanTable`, and the pickled
   payload the process backends ship to spawn workers;
 * opt-in by environment, the segment data plane against the in-RAM
-  bundle (``segments``) and an incremental epoch apply against a full
-  cold rerun (``epochs``).
+  bundle (``segments``) and cold, warm and epoch runs over one segment
+  bundle (``epochs``).
 
 Everything is measured on the actual study being profiled, never
 hand-asserted; ``repro-hunt profile --json FILE`` writes the document
@@ -147,92 +147,57 @@ def measure_epochs(
     seed: int = 0,
     fraction: float = 0.01,
 ) -> dict[str, Any]:
-    """Incremental epoch apply vs full cold rerun over the merged data.
+    """Cold, warm and epoch runs over one segment bundle.
 
-    Builds one ``n_domains`` scale world, runs it once against a stage
-    cache (the banked base products an operator would already have),
-    generates a deterministic ``fraction`` epoch delta, and measures
-    the two paths to the same merged-dataset report:
+    Builds one ``n_domains`` scale world, writes it as a segment bundle,
+    and times three serial runs over it, each reopening the bundle:
 
-    * ``epoch_seconds`` — :func:`repro.epochs.run_epoch` over the base
-      with the warm cache: overlay merge, dirty-set computation, cache
-      seeding from the base products, and the seeded pipeline run;
-    * ``full_seconds`` — the counterfactual without the epoch engine:
-      the merged table rebuilt from the full concatenated row stream
-      (interning + CSR indexing, what regenerating the dataset costs),
-      then a cold run against a fresh cache (cold fingerprints, every
-      stage recomputed and stored).  Row tuples are materialized
-      *outside* the timer — reading the source data is common to both
-      workflows, the rebuild and the cold run are not.
+    * ``cold_seconds`` — a hunt into an empty stage cache;
+    * ``warm_seconds`` — the same hunt from the cache the cold run
+      filled;
+    * ``epoch_seconds`` — :func:`repro.epochs.run_epoch` of a
+      deterministic ``fraction`` delta onto that banked base: overlay
+      merge, dirty set, cache seeding from the base products, and the
+      seeded run.
 
-    ``identical`` is the oracle (byte-identity of the two reports) and
-    ``speedup`` the CI-floored headline: a ≤1% delta must not pay for
-    the 99% it carried over.
+    ``identical`` is the oracle: the epoch report equals an uncached
+    run over :func:`repro.epochs.merge_inputs`'s bundle, checked
+    outside every timer.  CI floors ``epoch_seconds < cold_seconds``:
+    a ≤1% delta must cost less than starting over.
     """
     import tempfile
-    from dataclasses import replace
 
     from repro.cache import StageCache
     from repro.core.pipeline import HijackPipeline
     from repro.epochs import merge_inputs, run_epoch
     from repro.io.golden import encode_report
-    from repro.scan.dataset import ScanDataset
-    from repro.scan.table import _SENSITIVE, _TRUSTED, ScanTable
+    from repro.segments import load_segment_inputs, write_segments
     from repro.world.scale import make_delta, scale_world
 
-    inputs = scale_world(n_domains, n_active=n_active, seed=seed)
-    delta = make_delta(inputs, seed=seed, fraction=fraction)
-
     with tempfile.TemporaryDirectory(prefix="repro-epoch-bench-") as tmp:
-        cache = StageCache(tmp)
-        t0 = time.perf_counter()
-        HijackPipeline(inputs).profile(cache=cache)
-        base_seconds = time.perf_counter() - t0
-        gc.collect()
+        bundle = Path(tmp) / "bundle"
+        write_segments(scale_world(n_domains, n_active=n_active, seed=seed), bundle)
+        cache = StageCache(Path(tmp) / "cache")
 
-        t0 = time.perf_counter()
-        report, metrics, _dirty = run_epoch(inputs, delta, cache=cache)
-        epoch_seconds = time.perf_counter() - t0
-    gc.collect()
+        def timed(run):
+            gc.collect()
+            t0 = time.perf_counter()
+            result = run()
+            return result, time.perf_counter() - t0
 
-    merged = merge_inputs(inputs, delta)
-    table = merged.scan.table
-    rows = [
-        (
-            table.date_ord[r],
-            table.ips[table.ip_id[r]],
-            table.asns[table.asn_id[r]],
-            table.certs[table.cert_id[r]],
-            table.countries[table.country_id[r]],
-            table.port_sets[table.ports_id[r]],
-            table.name_sets[table.names_id[r]],
-            table.base_sets[table.bases_id[r]],
-            bool(table.flags[r] & _TRUSTED),
-            bool(table.flags[r] & _SENSITIVE),
+        _, cold_seconds = timed(
+            lambda: HijackPipeline(load_segment_inputs(bundle)).profile(cache=cache)
         )
-        for r in range(len(table.date_ord))
-    ]
-    gc.collect()
-
-    with tempfile.TemporaryDirectory(prefix="repro-epoch-bench-") as tmp:
-        t0 = time.perf_counter()
-        builder = ScanTable.build()
-        for row in rows:
-            builder.append_row(*row)
-        rebuilt = ScanDataset.from_table(
-            builder.finish(),
-            merged.scan.scan_dates,
-            known_missing_dates=merged.scan.known_missing_dates,
+        _, warm_seconds = timed(
+            lambda: HijackPipeline(load_segment_inputs(bundle)).profile(cache=cache)
         )
-        rebuild_seconds = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        full_report, _ = HijackPipeline(replace(merged, scan=rebuilt)).profile(
-            cache=StageCache(tmp)
+        delta = make_delta(load_segment_inputs(bundle), seed=seed, fraction=fraction)
+        (report, metrics, _dirty), epoch_seconds = timed(
+            lambda: run_epoch(load_segment_inputs(bundle), delta, cache=cache)
         )
-        full_run_seconds = time.perf_counter() - t0
-    full_seconds = rebuild_seconds + full_run_seconds
-    del rows
-    gc.collect()
+        full_report, _ = HijackPipeline(
+            merge_inputs(load_segment_inputs(bundle), delta)
+        ).profile()
 
     stats = metrics.epoch or {}
     return {
@@ -240,14 +205,9 @@ def measure_epochs(
         "n_active": n_active,
         "fraction": fraction,
         "delta": delta.counts(),
-        "base_seconds": round(base_seconds, 6),
+        "cold_seconds": round(cold_seconds, 6),
+        "warm_seconds": round(warm_seconds, 6),
         "epoch_seconds": round(epoch_seconds, 6),
-        "rebuild_seconds": round(rebuild_seconds, 6),
-        "full_run_seconds": round(full_run_seconds, 6),
-        "full_seconds": round(full_seconds, 6),
-        "speedup": round(full_seconds / epoch_seconds, 2)
-        if epoch_seconds > 0
-        else None,
         "domains_dirty": stats.get("domains_dirty"),
         "domains_reused": stats.get("domains_reused"),
         "seeded": stats.get("seeded"),
@@ -304,9 +264,8 @@ def perf_summary(
         summary["segments"] = measure_segments(
             int(scale), int(baseline) if baseline else None
         )
-    # Likewise for the incremental-epoch comparison: one base run plus a
-    # full cold rerun at 10^5-10^6 domains is the expensive half of the
-    # measurement, so it only runs where CI budgets for it.
+    # Likewise for the epoch comparison: writing and running a 10^5-10^6
+    # domain bundle three times only runs where CI budgets for it.
     epochs_scale = os.environ.get("REPRO_EPOCHS_SCALE")
     if epochs_scale:
         summary["epochs"] = measure_epochs(int(epochs_scale))

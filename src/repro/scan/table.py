@@ -57,6 +57,18 @@ _POOLS = (
     "port_sets", "name_sets", "base_sets",
 )
 
+#: Value-keyed pools and the builder interner filling each (``ip_ints``
+#: rides ``ips`` and ``certs`` rides ``cert_fps``, id for id).
+_INTERNED = (
+    ("ips", "_ips"),
+    ("asns", "_asns"),
+    ("cert_fps", "_certs"),
+    ("countries", "_countries"),
+    ("port_sets", "_ports"),
+    ("name_sets", "_names"),
+    ("base_sets", "_bases"),
+)
+
 
 class _Interner:
     """First-seen-order value pool: ``value -> small int id``.
@@ -142,6 +154,8 @@ class ScanTable:
         # handing back one shared object lets pickle memoize repeats in
         # worker results and cache entries instead of re-serializing.
         self.id_tuples: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # Value -> id lookups per interned pool (see ``pool_index``).
+        self._pool_index: dict[str, Any] = {}
 
     # -- construction ----------------------------------------------------------
 
@@ -240,6 +254,26 @@ class ScanTable:
             value = frozenset(values[i] for i in ids)
             self._set_cache[key] = value
         return value
+
+    def pool_index(self, name: str):
+        """A ``dict.get``-style value -> id lookup over an interned pool.
+
+        It bisects the pool through its sorted order (sorted once here;
+        a segment stores it), so an epoch overlay interns its delta's
+        values without decoding the pool.  Memoized per pool.
+        """
+        index = self._pool_index.get(name)
+        if index is None:
+            from repro.segments.pools import SortedPoolIndex
+
+            index = SortedPoolIndex(getattr(self, name), self._pool_order(name))
+            self._pool_index[name] = index
+        return index
+
+    def _pool_order(self, name: str):
+        from repro.segments.pools import sorted_order
+
+        return sorted_order(getattr(self, name))
 
     def trusted(self, row: int) -> bool:
         """The row's browser-trust flag, read straight off the column."""
@@ -450,6 +484,14 @@ class ScanTable:
         object graph per record.
         """
         state = self.__dict__.copy()
+        # An epoch-overlay table holds pools and domains as views over
+        # its base; the wire form is the lists and tuple a rebuild holds.
+        for name in _POOLS:
+            if name != "ip_ints" and type(state[name]) is not list:
+                state[name] = list(state[name])
+        if type(state["domains"]) is not tuple:
+            state["domains"] = tuple(state["domains"])
+        state.pop("_pool_index", None)
         state["_rec_cache"] = None
         state["_domain_records"] = None
         state["_dom_index"] = None  # rebuilt from ``domains`` on load
@@ -468,6 +510,7 @@ class ScanTable:
         self._singleton_sets = {}
         self._date_cache = {}
         self.id_tuples = {}
+        self._pool_index = {}
 
 
 class _TableBuilder:
@@ -532,12 +575,7 @@ class _TableBuilder:
     def finish(self) -> ScanTable:
         """Adopt the pools and build the domain index."""
         table = self.table
-        table.ips = self._ips.values
-        table.asns = self._asns.values
-        table.cert_fps = self._certs.values
-        table.countries = self._countries.values
-        table.port_sets = self._ports.values
-        table.name_sets = self._names.values
-        table.base_sets = self._bases.values
+        for pool, interner in _INTERNED:
+            setattr(table, pool, getattr(self, interner).values)
         table._build_index()
         return table

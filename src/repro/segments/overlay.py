@@ -1,64 +1,128 @@
 """Overlay extension of an indexed scan table with appended rows.
 
 An epoch delta appends new scan observations to an existing (possibly
-mmap-backed) table.  Rebuilding the table from the concatenated row
-stream would intern every pool value and re-sort every domain's rows
-again — O(dataset) work for an O(delta) change.  The overlay exploits
-two invariants of the columnar design instead:
+mmap-backed, possibly already extended) table.  Rebuilding the table
+from the concatenated row stream would intern every pool value and
+re-sort every domain's rows again — O(dataset) work for an O(delta)
+change.  The overlay does Python work in proportion to the delta only,
+by exploiting two invariants of the columnar design:
 
 * **Interning is append-stable.**  Pool ids are assigned in
   first-appearance order over the row stream, so appending rows *after*
   the base rows preserves every base id verbatim; only genuinely new
-  values get new (higher) ids.  The overlay pre-seeds a
-  :class:`~repro.scan.table._TableBuilder` with the base pools and lets
-  it intern the appended rows normally.
+  values get new (higher) ids.  The derived table's pools are the base
+  pools followed by the delta's new values (:class:`ExtendedPool`), and
+  a delta value finds its base id by bisecting the pool's sorted order
+  (:meth:`ScanTable.pool_index`) — no base pool is decoded beyond the
+  O(log n) entries each lookup compares.  A derived table carries those
+  lookups forward (the base lookup plus a dict of the delta's values),
+  so a stack of epochs stays O(delta) per epoch.
 * **The CSR index is domain-local.**  A domain's CSR slice depends only
   on that domain's own rows, and row indices never shift (the delta
-  lands strictly after the base), so every *clean* domain's slice is
-  copied from the base index with a constant offset shift; only domains
-  the delta actually touches are re-merged and re-sorted.
+  lands strictly after the base), so each run of *clean* domains copies
+  from the base index as one buffer slice per array with one offset
+  shift; only domains the delta touches are re-merged and re-sorted.
+  ``domains`` stays the base pool, or becomes a
+  :class:`MergedSortedPool` view when the delta adds names.
 
-The result is a plain in-RAM :class:`ScanTable` that is **identical**
-— pools, ids, columns, CSR arrays, pickled wire form, block digests —
-to a table rebuilt from the concatenated rows.  The differential
-property suite (``tests/test_properties_epochs.py``) pins exactly that
-equivalence, which is what makes the epoch engine's reuse of base
-products sound rather than heuristic.
+Row columns and ``ip_ints`` copy as one buffer each.  The result is
+**identical** — pools, ids, columns, CSR arrays, pickled wire form,
+block digests — to a table rebuilt from the concatenated rows.  The
+differential property suite (``tests/test_properties_epochs.py``) pins
+exactly that equivalence, which is what makes the epoch engine's reuse
+of base products sound rather than heuristic.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
-from repro.scan.table import ScanTable, _TableBuilder
+from repro.scan.table import _INTERNED, _ROW_COLUMNS, ScanTable, _TableBuilder
+from repro.segments.pools import ExtendedPool, MergedSortedPool, SortedPoolIndex
 
-#: ``(pool attribute, interner attribute)`` pairs whose seeded keys are
-#: the pool values themselves (certificates are keyed by fingerprint
-#: and handled separately).
-_SEEDED_POOLS = (
-    ("ips", "_ips"),
-    ("asns", "_asns"),
-    ("countries", "_countries"),
-    ("port_sets", "_ports"),
-    ("name_sets", "_names"),
-    ("base_sets", "_bases"),
-)
+
+class _PoolExtension:
+    """Interner and lookup of a derived pool.
+
+    ``get`` asks a dict of the values seen since the root table first,
+    then bisects the root pool through its sorted order; ``intern``
+    appends a value found in neither.
+    """
+
+    __slots__ = ("values", "_root", "_ids")
+
+    def __init__(self, values: ExtendedPool, root, ids: dict) -> None:
+        self.values = values
+        self._root = root
+        self._ids = ids
+
+    @classmethod
+    def carry(cls, base: ScanTable, name: str) -> _PoolExtension:
+        """The extension of ``base``'s pool ``name``, ready to append."""
+        index = base.pool_index(name)
+        values = _extended(getattr(base, name))
+        if isinstance(index, cls):
+            return cls(values, index._root, dict(index._ids))
+        return cls(values, index, {})
+
+    def get(self, value, default=None):
+        ident = self._ids.get(value)
+        if ident is None:
+            ident = self._root.get(value)
+            if ident is None:
+                return default
+            self._ids[value] = ident
+        return ident
+
+    def intern(self, value) -> int:
+        ident = self.get(value)
+        if ident is None:
+            ident = len(self.values)
+            self.values.append(value)
+            self._ids[value] = ident
+        return ident
+
+
+def _extended(pool) -> ExtendedPool:
+    """A fresh extension of ``pool``, flattening an earlier one."""
+    if isinstance(pool, ExtendedPool):
+        return ExtendedPool(pool.base, pool.extra)
+    return ExtendedPool(pool)
+
+
+def _settle(pool: ExtendedPool):
+    """The pool itself when nothing was appended to it."""
+    return pool if pool.extra else pool.base
+
+
+def _shifted(column, lo: int, hi: int, shift: int = 0):
+    """The bytes of ``column[lo:hi]`` (an unsigned typed array) with
+    ``shift`` added to every item, at buffer-copy speed.
+
+    The items are read as one native-endian integer and a repeated
+    ``shift`` pattern is added to it; each sum stays below the item
+    width, so no lane carries into the next.  Without a shift the
+    result is a zero-copy view.
+    """
+    view = memoryview(column)[lo:hi]
+    raw = view.cast("B")
+    if not shift:
+        return raw
+    total = int.from_bytes(raw, sys.byteorder) + int.from_bytes(
+        shift.to_bytes(view.itemsize, sys.byteorder) * len(view), sys.byteorder
+    )
+    return total.to_bytes(len(raw), sys.byteorder)
 
 
 def _copy_array(value) -> array:
     """A mutable ``array`` copy of a column (array or mmap memoryview)."""
-    if isinstance(value, array):
-        return array(value.typecode, value)
-    out = array(value.format)
-    out.frombytes(value.cast("B"))
+    view = memoryview(value)
+    out = array(view.format)
+    out.frombytes(view.cast("B"))
     return out
-
-
-def _seed(interner, values: list) -> None:
-    """Point an interner at an existing pool so new values append to it."""
-    interner.values = values
-    interner._ids = {value: ident for ident, value in enumerate(values)}
 
 
 def extend_scan_table(base: ScanTable, rows: Iterable[Sequence]) -> ScanTable:
@@ -67,61 +131,45 @@ def extend_scan_table(base: ScanTable, rows: Iterable[Sequence]) -> ScanTable:
     ``rows`` are :meth:`_TableBuilder.append_row` argument tuples —
     ``(date_ordinal, ip, asn, certificate, country, ports, names,
     base_domains, trusted, sensitive)`` — exactly what an epoch delta
-    carries.  The base (in-RAM or segment-backed) is not modified.
+    carries.  The base (in-RAM, segment-backed or itself derived) is
+    not modified; the derived table shares its pools and reads them
+    only for the values the delta looks up.
     """
     derived = ScanTable()
     # Row columns copy verbatim: the delta appends, never rewrites.
-    derived.date_ord = _copy_array(base.date_ord)
-    derived.ip_id = _copy_array(base.ip_id)
-    derived.asn_id = _copy_array(base.asn_id)
-    derived.cert_id = _copy_array(base.cert_id)
-    derived.country_id = _copy_array(base.country_id)
-    derived.ports_id = _copy_array(base.ports_id)
-    derived.names_id = _copy_array(base.names_id)
-    derived.bases_id = _copy_array(base.bases_id)
-    derived.flags = _copy_array(base.flags)
-    # Pools materialize as mutable lists (a segment base's lazy views
-    # decode here, once); the builder's interners then share these very
-    # lists, so appending a delta row extends them in place.
-    derived.ips = list(base.ips)
+    for name in _ROW_COLUMNS:
+        setattr(derived, name, _copy_array(getattr(base, name)))
     derived.ip_ints = _copy_array(base.ip_ints)
-    derived.asns = list(base.asns)
-    derived.cert_fps = list(base.cert_fps)
-    derived.certs = list(base.certs)
-    derived.countries = list(base.countries)
-    derived.port_sets = list(base.port_sets)
-    derived.name_sets = list(base.name_sets)
-    derived.base_sets = list(base.base_sets)
+    derived.certs = _extended(base.certs)
 
     builder = _TableBuilder(derived)
-    for pool_name, interner_name in _SEEDED_POOLS:
-        _seed(getattr(builder, interner_name), getattr(derived, pool_name))
-    _seed(builder._certs, derived.cert_fps)
+    for pool, interner in _INTERNED:
+        extension = _PoolExtension.carry(base, pool)
+        setattr(builder, interner, extension)
+        derived._pool_index[pool] = extension
 
-    n_base = len(base.date_ord)
+    n_base = len(base)
+    buckets: dict[str, list[int]] = {}
     for row in rows:
+        for name in row[7]:
+            buckets.setdefault(name, []).append(len(derived.date_ord))
         builder.append_row(*row)
 
-    # Adopt pools exactly like ``finish()`` — they are already the
-    # table's own lists — but splice the CSR index instead of rebuilding.
-    derived.ips = builder._ips.values
-    derived.asns = builder._asns.values
-    derived.cert_fps = builder._certs.values
-    derived.countries = builder._countries.values
-    derived.port_sets = builder._ports.values
-    derived.name_sets = builder._names.values
-    derived.base_sets = builder._bases.values
+    for pool, interner in _INTERNED:
+        setattr(derived, pool, _settle(getattr(builder, interner).values))
+    derived.certs = _settle(derived.certs)
+    base_cache = base._rec_cache
+    derived._rec_cache = base_cache + [None] * (len(derived) - len(base_cache))
 
-    base_cache = getattr(base, "_rec_cache", None) or []
-    derived._rec_cache = list(base_cache) + [None] * (len(derived.date_ord) - len(base_cache))
-
-    _splice_index(derived, base, n_base)
+    _splice_index(derived, base, buckets)
     _seed_block_digests(derived, base, n_base)
     return derived
 
 
-def _splice_index(derived: ScanTable, base: ScanTable, n_base: int) -> None:
-    """Build the CSR index by copying clean base slices and re-merging
+def _splice_index(
+    derived: ScanTable, base: ScanTable, buckets: dict[str, list[int]]
+) -> None:
+    """Build the CSR index by copying clean base runs and re-merging
     only the domains the appended rows touch.
 
     Equivalence with ``_build_index`` over the full row stream: a
@@ -136,35 +184,55 @@ def _splice_index(derived: ScanTable, base: ScanTable, n_base: int) -> None:
     ip_id_col = derived.ip_id
     ips = derived.ips
 
-    new_buckets: dict[str, list[int]] = {}
-    bases_id = derived.bases_id
-    base_sets = derived.base_sets
-    for row in range(n_base, len(date_ord)):
-        for name in base_sets[bases_id[row]]:
-            bucket = new_buckets.get(name)
-            if bucket is None:
-                new_buckets[name] = [row]
-            else:
-                bucket.append(row)
+    # The base's domain pool, as a root pool plus the names earlier
+    # epochs inserted into it.
+    domains = base.domains
+    if isinstance(domains, MergedSortedPool):
+        root, names, root_at = domains.root, domains.names, domains.root_at
+    else:
+        root, names, root_at = domains, [], []
+    root_index = SortedPoolIndex(root)
 
-    base_domains = base.domains
-    new_only = sorted(
-        name for name in new_buckets if base.domain_index(name) is None
-    )
+    # Events in base-domain order: a touched base domain at its ordinal,
+    # a new name just before the base domain it sorts in front of.
+    events: list[tuple[int, int, str]] = []
+    added: list[tuple[str, int]] = []
+    for name in buckets:
+        ordinal = base.domain_index(name)
+        if ordinal is None:
+            at = root_index.bisect(name)
+            added.append((name, at))
+            events.append((at + bisect_left(names, name), 0, name))
+        else:
+            events.append((ordinal, 1, name))
+    events.sort()
+
     base_off = base.csr_off
     base_dd_off = base.dom_dates_off
     base_csr_rows = base.csr_rows
-    base_csr_dates = base.csr_dates
-    base_dom_dates = base.dom_dates
-
-    domains: list[str] = []
     csr_rows = array("I")
     csr_dates = array("i")
     csr_off = array("I", [0])
     dom_dates = array("i")
     dom_dates_off = array("I", [0])
 
-    def emit_merged(name: str, merged: list[int]) -> None:
+    def copy_clean(lo: int, hi: int) -> None:
+        # A run of base domains [lo, hi) none of which the delta touches:
+        # their concatenated CSR slices copy as raw bytes, and their
+        # offsets as one shifted buffer.
+        if lo >= hi:
+            return
+        row_lo, row_hi = base_off[lo], base_off[hi]
+        date_lo, date_hi = base_dd_off[lo], base_dd_off[hi]
+        row_shift = len(csr_rows) - row_lo
+        date_shift = len(dom_dates) - date_lo
+        csr_rows.frombytes(_shifted(base_csr_rows, row_lo, row_hi))
+        csr_dates.frombytes(_shifted(base.csr_dates, row_lo, row_hi))
+        dom_dates.frombytes(_shifted(base.dom_dates, date_lo, date_hi))
+        csr_off.frombytes(_shifted(base_off, lo + 1, hi + 1, row_shift))
+        dom_dates_off.frombytes(_shifted(base_dd_off, lo + 1, hi + 1, date_shift))
+
+    def emit_merged(merged: list[int]) -> None:
         merged.sort(key=lambda r: (date_ord[r], ips[ip_id_col[r]]))
         csr_rows.extend(merged)
         previous = None
@@ -176,72 +244,29 @@ def _splice_index(derived: ScanTable, base: ScanTable, n_base: int) -> None:
                 previous = ordinal
         csr_off.append(len(csr_rows))
         dom_dates_off.append(len(dom_dates))
-        domains.append(name)
 
-    def copy_clean(lo: int, hi: int) -> None:
-        # A run of base domains [lo, hi) none of which the delta touches:
-        # their concatenated CSR slices copy as raw bytes, offsets shift
-        # by a constant.
-        row_shift = len(csr_rows) - base_off[lo]
-        date_shift = len(dom_dates) - base_dd_off[lo]
-        csr_rows.frombytes(bytes_of(base_csr_rows, base_off[lo], base_off[hi]))
-        csr_dates.frombytes(bytes_of(base_csr_dates, base_off[lo], base_off[hi]))
-        dom_dates.frombytes(
-            bytes_of(base_dom_dates, base_dd_off[lo], base_dd_off[hi])
-        )
-        for i in range(lo, hi):
-            csr_off.append(base_off[i + 1] + row_shift)
-            dom_dates_off.append(base_dd_off[i + 1] + date_shift)
-            domains.append(base_domains[i])
-
-    def bytes_of(column, lo: int, hi: int) -> bytes:
-        view = column[lo:hi]
-        return view.tobytes()
-
-    n_base_domains = len(base_domains)
-    next_new = 0
-    i = 0
-    while i < n_base_domains:
-        name = base_domains[i]
-        # New-only domains sorting before this base domain slot in first.
-        while next_new < len(new_only) and new_only[next_new] < name:
-            emit_merged(new_only[next_new], list(new_buckets[new_only[next_new]]))
-            next_new += 1
-        touched = new_buckets.get(name)
-        if touched is None:
-            # Extend the clean run as far as it goes before copying.
-            j = i + 1
-            stop = (
-                new_only[next_new] if next_new < len(new_only) else None
-            )
-            while j < n_base_domains:
-                candidate = base_domains[j]
-                if stop is not None and candidate > stop:
-                    break
-                if candidate in new_buckets:
-                    break
-                j += 1
-            copy_clean(i, j)
-            i = j
+    cursor = 0
+    for position, touched, name in events:
+        copy_clean(cursor, position)
+        if touched:
+            merged = list(base_csr_rows[base_off[position]:base_off[position + 1]])
+            merged.extend(buckets[name])
+            cursor = position + 1
         else:
-            merged = list(
-                base_csr_rows[base_off[i]:base_off[i + 1]]
-            )
-            merged.extend(touched)
-            emit_merged(name, merged)
-            i += 1
-    while next_new < len(new_only):
-        emit_merged(new_only[next_new], list(new_buckets[new_only[next_new]]))
-        next_new += 1
+            merged = list(buckets[name])
+            cursor = position
+        emit_merged(merged)
+    copy_clean(cursor, len(domains))
 
-    from repro.segments.pools import SortedPoolIndex
-
-    derived.domains = tuple(domains)
-    # The merge emits domains in sorted order, so the bisect index the
-    # segment tables use works here too — and skips materializing a
-    # population-sized dict for an O(delta) operation.  The pickled wire
-    # form is unaffected (``__getstate__`` drops the index either way).
-    derived._dom_index = SortedPoolIndex(derived.domains)
+    if added:
+        inserted = sorted(list(zip(names, root_at)) + added)
+        derived.domains = MergedSortedPool(
+            root, [name for name, _ in inserted], [at for _, at in inserted]
+        )
+        derived._dom_index = derived.domains
+    else:
+        derived.domains = domains
+        derived._dom_index = base._dom_index
     derived.csr_rows = csr_rows
     derived.csr_dates = csr_dates
     derived.csr_off = csr_off

@@ -9,13 +9,25 @@ costs allocations but never resident set.
 
 Pool ids are first-seen-order positions, identical to the in-RAM build,
 so a segment-backed table and its in-RAM twin agree on every interned
-id (the differential property suite pins this).
+id (the differential property suite pins this).  A value finds its id
+without decoding the pool by bisecting through the pool's *sorted
+order* (:class:`SortedPoolIndex`): the writer stores that permutation
+beside each pool, except for a pool that is already sorted (the domain
+pool always is), which stores none.
+
+An epoch overlay derives a table without copying its base's pools:
+:class:`ExtendedPool` is a base pool followed by the values the delta
+appended, and :class:`MergedSortedPool` is the sorted domain pool with
+the delta's new names at their sorted positions.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
+from itertools import islice
+from operator import lt
 from typing import Any
 
 from repro.segments.format import Segment, SegmentWriter
@@ -92,29 +104,37 @@ class TupleIntPool(Sequence):
 
 
 class SortedPoolIndex:
-    """``dict.get``-compatible lookup over a *sorted* lazy pool.
+    """``dict.get``-compatible lookup over a pool, by bisection.
 
-    Segment-backed tables replace their ``{value: position}`` index dict
-    with a bisect over the (already sorted) pool: O(log n) transient
-    decodes per lookup instead of an n-entry resident dict per process.
+    ``order`` lists the pool's ids in ascending value order; ``None``
+    means the pool is sorted already.  A lookup costs O(log n)
+    transient decodes instead of an n-entry resident dict per process.
     """
 
-    __slots__ = ("_pool",)
+    __slots__ = ("_pool", "_order")
 
-    def __init__(self, pool) -> None:
+    def __init__(self, pool, order=None) -> None:
         self._pool = pool
+        self._order = order
 
-    def get(self, key, default=None):
-        pool = self._pool
+    def bisect(self, key) -> int:
+        """How many pool values sort before ``key``."""
+        pool, order = self._pool, self._order
         lo, hi = 0, len(pool)
         while lo < hi:
             mid = (lo + hi) // 2
-            if pool[mid] < key:
+            if pool[mid if order is None else order[mid]] < key:
                 lo = mid + 1
             else:
                 hi = mid
-        if lo < len(pool) and pool[lo] == key:
-            return lo
+        return lo
+
+    def get(self, key, default=None):
+        rank = self.bisect(key)
+        if rank < len(self._pool):
+            ident = rank if self._order is None else self._order[rank]
+            if self._pool[ident] == key:
+                return ident
         return default
 
     def __getitem__(self, key):
@@ -128,6 +148,105 @@ class SortedPoolIndex:
 
     def __len__(self) -> int:
         return len(self._pool)
+
+
+def sorted_order(values) -> array | None:
+    """The ids of ``values`` (distinct, mutually comparable) in
+    ascending value order, or ``None`` when they are in order already."""
+    if not isinstance(values, (list, tuple)):
+        values = list(values)
+    if all(map(lt, values, islice(values, 1, None))):
+        return None
+    return array("I", sorted(range(len(values)), key=values.__getitem__))
+
+
+class ExtendedPool(Sequence):
+    """A base pool followed by values appended past it.
+
+    Ids below ``len(base)`` read the base (decoding only the entries
+    asked for); the rest read ``extra``, which the pool owns.
+    """
+
+    __slots__ = ("base", "extra", "_n")
+
+    def __init__(self, base, extra=()) -> None:
+        self.base = base
+        self.extra = list(extra)
+        self._n = len(base)
+
+    def __len__(self) -> int:
+        return self._n + len(self.extra)
+
+    def __getitem__(self, index: int):
+        if index < 0:
+            index += len(self)
+        if index < self._n:
+            return self.base[index]
+        return self.extra[index - self._n]
+
+    def __iter__(self):
+        yield from self.base
+        yield from self.extra
+
+    def append(self, value) -> None:
+        self.extra.append(value)
+
+
+class MergedSortedPool(Sequence):
+    """A sorted pool with a few values inserted at their sorted positions.
+
+    ``names`` are sorted and absent from ``root``; ``root_at[k]`` is how
+    many root values sort before ``names[k]``.  A read or a lookup costs
+    O(log n) root decodes; the root is never copied.  Compares equal to
+    the tuple a rebuild of the same values holds.
+    """
+
+    __slots__ = ("root", "names", "root_at", "_at", "_ids", "_root_index")
+
+    def __init__(self, root, names, root_at) -> None:
+        self.root = root
+        self.names = list(names)
+        self.root_at = list(root_at)
+        self._at = [at + k for k, at in enumerate(self.root_at)]
+        self._ids = dict(zip(self.names, self._at))
+        self._root_index = SortedPoolIndex(root)
+
+    def __len__(self) -> int:
+        return len(self.root) + len(self.names)
+
+    def __getitem__(self, index: int):
+        if index < 0:
+            index += len(self)
+        k = bisect_left(self._at, index)
+        if k < len(self._at) and self._at[k] == index:
+            return self.names[k]
+        return self.root[index - k]
+
+    def __iter__(self):
+        names, root_at = self.names, self.root_at
+        k = 0
+        for i, value in enumerate(self.root):
+            while k < len(names) and root_at[k] == i:
+                yield names[k]
+                k += 1
+            yield value
+        yield from names[k:]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def get(self, key, default=None):
+        at = self._ids.get(key)
+        if at is not None:
+            return at
+        ident = self._root_index.get(key)
+        if ident is None:
+            return default
+        return ident + bisect_right(self.root_at, ident)
 
 
 # -- writer/reader helpers (pool layout convention over format blobs) ----------
@@ -178,6 +297,8 @@ def read_tuple_int_pool(segment: Segment, name: str) -> TupleIntPool:
 
 
 __all__: list[Any] = [
+    "ExtendedPool",
+    "MergedSortedPool",
     "SortedPoolIndex",
     "StrPool",
     "TupleIntPool",
@@ -185,6 +306,7 @@ __all__: list[Any] = [
     "read_str_pool",
     "read_tuple_int_pool",
     "read_tuple_str_pool",
+    "sorted_order",
     "write_str_pool",
     "write_tuple_int_pool",
     "write_tuple_str_pool",

@@ -13,6 +13,10 @@ Pool strategy differs per table by population size:
   disk behind lazy views (:mod:`repro.segments.pools`), and the
   ``{domain: position}`` index becomes a bisect over the sorted domain
   pool, so a worker's resident set is O(touched values), not O(table).
+  Each interned pool that is not already sorted stores its sorted-order
+  permutation as ``<pool>.ord`` (the header's ``sorted_pools`` names
+  the ones that are), so an epoch overlay finds a value's id by
+  bisection instead of decoding the pool.
 * **pdns / ct** — orders of magnitude smaller (shortlist-scale).  Their
   pools travel as one pickle blob and materialize eagerly, keeping the
   service layers (:class:`~repro.pdns.database.PassiveDNSDatabase`,
@@ -31,13 +35,14 @@ from typing import Iterable
 
 from repro.ct.table import CtTable
 from repro.pdns.table import PdnsTable
-from repro.scan.table import ScanTable
+from repro.scan.table import _INTERNED, ScanTable
 from repro.segments.format import Segment, SegmentError, SegmentWriter
 from repro.segments.pools import (
     SortedPoolIndex,
     read_str_pool,
     read_tuple_int_pool,
     read_tuple_str_pool,
+    sorted_order,
     write_str_pool,
     write_tuple_int_pool,
     write_tuple_str_pool,
@@ -130,6 +135,10 @@ def write_scan_table(
     """
     from repro.cache.fingerprint import SCAN_BLOCK_ROWS, scan_block_digests
 
+    orders = {
+        name: sorted_order(getattr(table, name))
+        for name in [pool for pool, _ in _INTERNED] + ["domains"]
+    }
     writer = SegmentWriter(
         "scan",
         meta={
@@ -138,10 +147,14 @@ def write_scan_table(
             "known_missing": sorted(d.toordinal() for d in known_missing),
             "block_rows": SCAN_BLOCK_ROWS,
             "block_digests": list(scan_block_digests(table)),
+            "sorted_pools": sorted(n for n, order in orders.items() if order is None),
         },
     )
     for name in _SCAN_ARRAYS:
         writer.add_array(name, _as_array(table, name))
+    for name, order in orders.items():
+        if order is not None:
+            writer.add_array(f"{name}.ord", order)
     write_str_pool(writer, "ips", table.ips)
     write_str_pool(writer, "cert_fps", table.cert_fps)
     write_str_pool(writer, "countries", table.countries)
@@ -157,7 +170,8 @@ class SegmentScanTable(ScanTable):
     """A :class:`ScanTable` whose columns live in one mapped segment.
 
     Pools are lazy views; the domain index is a bisect over the sorted
-    on-disk domain pool.  Pickles as its path (workers reopen the map).
+    on-disk domain pool, and :meth:`pool_index` bisects through each
+    pool's stored order.  Pickles as its path (workers reopen the map).
     """
 
     def __init__(self, segment: Segment) -> None:
@@ -184,6 +198,11 @@ class SegmentScanTable(ScanTable):
                 # Seed the digest memo from the header: the first cache
                 # probe over this bundle then costs no row walk at all.
                 self._repro_block_digests = (SCAN_BLOCK_ROWS, tuple(digests))
+
+    def _pool_order(self, name: str):
+        if name in self.segment.meta.get("sorted_pools", ()):
+            return None
+        return self.segment.array(f"{name}.ord")
 
     def __reduce__(self):
         return (open_scan_table, (str(self.segment.path),))

@@ -8,7 +8,9 @@ Two invariants carry the incremental engine's byte-identity guarantee:
   index, pickled wire form, and content-digest blocks are identical to
   a table rebuilt cold from the concatenated rows.  This is what makes
   pool-id prefix stability a theorem of the implementation rather than
-  a hope.
+  a hope.  It holds over an in-RAM base and over a base written to a
+  segment and reopened (whose stored pool orders the overlay bisects),
+  extended once and stacked twice.
 * **Dirty-set soundness** — for arbitrary deltas over a scale world,
   every domain whose deployment encoding changes between the base and
   the merged bundle is in the engine's dirty set, and every domain
@@ -19,10 +21,11 @@ Two invariants carry the incremental engine's byte-identity guarantee:
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import asdict, replace
 from datetime import date, timedelta
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.fingerprint import scan_block_digests
@@ -30,7 +33,8 @@ from repro.core.deployment import encode_domain_maps
 from repro.core.pipeline import HijackPipeline, PipelineConfig
 from repro.dns.records import RRType
 from repro.epochs import EpochDelta, compute_dirty_set, merge_inputs
-from repro.scan.table import ScanTable
+from repro.scan.table import _INTERNED, ScanTable
+from repro.segments import Segment, open_scan_table, write_scan_table
 from repro.segments.overlay import extend_scan_table
 from repro.tls.certificate import Certificate
 from repro.world.scale import SCALE_END, scale_world
@@ -118,6 +122,118 @@ class TestOverlayDifferential:
         before = _wire(base)
         extend_scan_table(base, [_materialize((0, 0, 0, 0, 0, None, True, False))])
         assert _wire(base) == before
+
+
+# -- overlay over a segment-backed base -----------------------------------------
+
+# Domains spaced out in sort order, so a delta's new names can land
+# before, between and after a base's.
+SEG_DOMAINS = ("a.com", "c.org", "e.net", "g.io", "i.com", "k.org", "m.net")
+SEG_PORTS = ((443,), (443, 8443), (80, 443))
+SEG_COUNTRIES = ("US", "DE", "FR")
+
+# One scan row, with a selector for every pooled field: (domain, date
+# index, ip, asn, cert, country, ports, with www name, extra base
+# domain or None, trusted, sensitive).
+_seg_row = st.tuples(
+    st.integers(min_value=0, max_value=len(SEG_DOMAINS) - 1),
+    st.integers(min_value=0, max_value=len(DATES) - 1),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=2),
+    st.booleans(),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=len(SEG_DOMAINS) - 1)),
+    st.booleans(),
+    st.booleans(),
+)
+_seg_rows = st.lists(_seg_row, min_size=0, max_size=12)
+
+
+def _seg_materialize(spec) -> tuple:
+    (dom, date_idx, ip, asn, cert, country, ports, www, extra, trusted, sensitive) = spec
+    domain = SEG_DOMAINS[dom]
+    bases = (domain,) if extra is None else tuple(sorted({domain, SEG_DOMAINS[extra]}))
+    return (
+        DATES[date_idx].toordinal(),
+        f"10.{ip}.{asn}.{dom}",
+        2000 + asn,
+        CERTS[cert],
+        SEG_COUNTRIES[country],
+        SEG_PORTS[ports],
+        (domain, f"www.{domain}") if www else (domain,),
+        bases,
+        trusted,
+        sensitive,
+    )
+
+
+def _assert_equals_rebuild(derived: ScanTable, rebuilt: ScanTable) -> None:
+    assert tuple(derived.domains) == rebuilt.domains
+    assert [derived.domains[i] for i in range(len(rebuilt.domains))] == list(rebuilt.domains)
+    for domain in SEG_DOMAINS:
+        assert derived.domain_index(domain) == rebuilt.domain_index(domain)
+    for pool, _ in _INTERNED:
+        index = derived.pool_index(pool)
+        for ident, value in enumerate(getattr(rebuilt, pool)):
+            assert index.get(value) == ident
+    assert _wire(derived) == _wire(rebuilt)
+    assert scan_block_digests(derived) == scan_block_digests(rebuilt)
+    assert _wire(pickle.loads(pickle.dumps(derived))) == _wire(rebuilt)
+
+
+# Base rows all at selector 0 and the middle domains; delta rows at
+# the last selector of every pool, with new domains sorting before,
+# between and after the base's, then between names the first inserted.
+_BASE_EXAMPLE = [(1, 0, 0, 0, 0, 0, 0, False, None, True, False),
+                 (5, 1, 0, 0, 0, 0, 0, False, None, True, False)]
+_DELTA_EXAMPLE = [(0, 2, 3, 3, 3, 2, 2, True, None, False, True),
+                  (3, 2, 3, 3, 3, 2, 2, True, 6, False, True)]
+_LATER_EXAMPLE = [(2, 3, 2, 1, 2, 1, 1, True, None, True, True),
+                  (4, 0, 1, 2, 1, 2, 1, False, 1, False, False)]
+
+
+class TestOverlayOverSegment:
+    @settings(max_examples=40, deadline=None)
+    @given(_seg_rows, _seg_rows, _seg_rows)
+    @example(_BASE_EXAMPLE, _DELTA_EXAMPLE, _DELTA_EXAMPLE)
+    @example(_BASE_EXAMPLE, _DELTA_EXAMPLE, _LATER_EXAMPLE)
+    @example([], _DELTA_EXAMPLE, [])
+    def test_overlay_over_segment_equals_rebuild(
+        self, tmp_path_factory, base_specs, first_specs, second_specs
+    ):
+        base_rows = [_seg_materialize(s) for s in base_specs]
+        first_rows = [_seg_materialize(s) for s in first_specs]
+        second_rows = [_seg_materialize(s) for s in second_specs]
+        directory = tmp_path_factory.mktemp("overlay")
+        write_scan_table(_build(base_rows), directory / "base.seg")
+        base = open_scan_table(directory / "base.seg")
+
+        once = extend_scan_table(base, first_rows)
+        _assert_equals_rebuild(once, _build(base_rows + first_rows))
+        twice = extend_scan_table(once, second_rows)
+        rebuilt = _build(base_rows + first_rows + second_rows)
+        _assert_equals_rebuild(twice, rebuilt)
+
+        # A derived table re-writes to the blobs of its rebuild.  The
+        # pickled certificates compare by value: pickle's memo follows
+        # object identity, which a reopened base does not share.
+        write_scan_table(twice, directory / "derived.seg")
+        write_scan_table(rebuilt, directory / "rebuilt.seg")
+        derived_seg = Segment.open(directory / "derived.seg")
+        rebuilt_seg = Segment.open(directory / "rebuilt.seg")
+        assert derived_seg.meta == rebuilt_seg.meta
+        assert list(derived_seg.names()) == list(rebuilt_seg.names())
+        for name in rebuilt_seg.names():
+            if name == "certs":
+                assert derived_seg.pickle(name) == rebuilt_seg.pickle(name)
+            else:
+                assert derived_seg.blob(name) == rebuilt_seg.blob(name), name
+        reopened = open_scan_table(directory / "derived.seg")
+        assert tuple(reopened.domains) == rebuilt.domains
+        for pool, _ in _INTERNED:
+            assert list(getattr(reopened, pool)) == getattr(rebuilt, pool)
 
 
 # -- dirty-set soundness ------------------------------------------------------
