@@ -21,16 +21,16 @@ the golden files.
 """
 
 from repro.cache.fingerprint import (
+    BLOCK_ROWS,
     CACHE_SALT,
-    SCAN_BLOCK_ROWS,
     RunKey,
+    block_digests,
     config_digest,
     derive_run_key,
     extended_block_digests,
     inputs_digest,
     jsonable,
     plan_digest,
-    scan_block_digests,
     stage_fingerprint,
     value_digest,
 )
@@ -45,16 +45,16 @@ from repro.cache.store import (
 )
 
 __all__ = [
+    "BLOCK_ROWS",
     "CACHE_SALT",
-    "SCAN_BLOCK_ROWS",
     "RunKey",
+    "block_digests",
     "config_digest",
     "derive_run_key",
     "extended_block_digests",
     "inputs_digest",
     "jsonable",
     "plan_digest",
-    "scan_block_digests",
     "stage_fingerprint",
     "value_digest",
     "CacheCounters",

@@ -11,11 +11,14 @@ into one :func:`stage_fingerprint` through the
 independent of dict insertion order, of the execution backend, and of
 the process that computed them.
 
-The input digest is *content*-addressed, not object-addressed: it walks
-the datasets through their canonical row forms (the same shapes
-``repro.io`` serializes), so a dataset loaded from disk and the dataset
-that was saved fingerprint identically, while dropping a single scan
-record — or degrading anything via a fault plan — changes the key.
+The input digest is *content*-addressed, not object-addressed: each
+evidence table is hashed as bytes — its per-row columns and its value
+pools in the segment encoding, block by block (:func:`block_digests`) —
+so an in-RAM table, its segment and an epoch overlay of the same rows
+fingerprint identically, while dropping a single scan record — or
+degrading anything via a fault plan — changes the key.  The small
+datasets (AS2Org, periods, routing, geo) digest through their canonical
+JSON forms.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.io.golden import canonical_json
+from repro.segments.pools import block_bytes
 
 if TYPE_CHECKING:
     from repro.core.pipeline import PipelineInputs
@@ -35,7 +39,7 @@ if TYPE_CHECKING:
 #: Global salt folded into every fingerprint; bump to invalidate every
 #: cache entry at once (e.g. after a change to the entry format or the
 #: digest scheme itself).
-CACHE_SALT = "repro.cache/1"
+CACHE_SALT = "repro.cache/2"
 
 #: Hex-digest length of a stage fingerprint (blake2b, 24 bytes).
 _FINGERPRINT_BYTES = 24
@@ -80,11 +84,7 @@ def value_digest(value: Any) -> str:
 
 
 class _Hasher:
-    """Incremental digest over named canonical parts.
-
-    Feeding part by part keeps the peak allocation at one row's
-    canonical encoding instead of one string for the whole dataset.
-    """
+    """Incremental digest over named canonical parts."""
 
     def __init__(self) -> None:
         self._h = hashlib.blake2b(digest_size=_PART_BYTES)
@@ -100,92 +100,106 @@ class _Hasher:
         return self._h.hexdigest()
 
 
-def _pdns_rows(pdns) -> list[dict[str, Any]]:
-    rows = [
-        {
-            "rrname": r.rrname,
-            "rtype": r.rtype.value,
-            "rdata": r.rdata,
-            "first": r.first_seen.isoformat(),
-            "last": r.last_seen.isoformat(),
-            "count": r.count,
-        }
-        for r in pdns.all_records()
+#: Rows (and pool entries) per digest block.  A table digests as lists
+#: of block digests rather than one flat hash, so an epoch overlay that
+#: appends rows and pool values re-hashes only the base's trailing
+#: partial blocks plus what it appended (every full base block's digest
+#: is reused verbatim) — O(delta) instead of O(dataset).
+BLOCK_ROWS = 4096
+
+
+def _block(count: int, chunks: Iterable) -> str:
+    hasher = hashlib.blake2b(count.to_bytes(8, "little"), digest_size=_PART_BYTES)
+    for chunk in chunks:
+        hasher.update(chunk)
+    return hasher.hexdigest()
+
+
+def _spans(start: int, stop: int) -> Iterable[tuple[int, int]]:
+    return ((lo, min(lo + BLOCK_ROWS, stop)) for lo in range(start, stop, BLOCK_ROWS))
+
+
+def _extend(digests: Sequence[str], n_base: int, n: int, chunks) -> list[str]:
+    """``digests`` (the blocks of the first ``n_base`` items) extended to
+    ``n`` items: every full block is kept, and the blocks from the first
+    partial one on are hashed from ``chunks(lo, hi)``."""
+    full = n_base // BLOCK_ROWS
+    return list(digests[:full]) + [
+        _block(hi - lo, chunks(lo, hi)) for lo, hi in _spans(full * BLOCK_ROWS, n)
     ]
-    # The aggregate row set is the database's content; each key appears
-    # once, so sorting makes the digest insertion-order independent.
-    rows.sort(key=lambda r: (r["rrname"], r["rtype"], r["rdata"]))
-    return rows
 
 
-#: Rows per scan digest block.  The scan digest is a digest *of block
-#: digests* rather than one flat hash over every row, so an epoch
-#: overlay that appends rows to a base table re-digests only the base's
-#: final partial block plus the appended rows (every full base block's
-#: digest is reused verbatim) — O(delta) instead of O(dataset).
-SCAN_BLOCK_ROWS = 4096
+def _blocks(table, base=None, pools=None) -> dict[str, Any]:
+    """``table``'s blocks, hashed from its buffers.  With ``base`` — a
+    table that ``table`` extends by appending rows and pool values —
+    every full base block is reused.  ``pools`` maps pool names to views
+    already encoded (a writer's)."""
+    old = block_digests(base) if base is not None else {"rows": [], "pools": {}}
+
+    def n_base(name: str | None = None) -> int:
+        if base is None:
+            return 0
+        return len(base if name is None else getattr(base, name))
+
+    columns = [memoryview(getattr(table, name)) for name in table.digest_columns]
+    blocks: dict[str, Any] = {
+        "block_rows": BLOCK_ROWS,
+        "rows": _extend(
+            old["rows"], n_base(), len(table),
+            lambda lo, hi: [column[lo:hi] for column in columns],
+        ),
+        "pools": {},
+    }
+    for name, kind in table.digest_pools:
+        pool = (pools or {}).get(name, getattr(table, name))
+        blocks["pools"][name] = _extend(
+            old["pools"].get(name, []), n_base(name), len(pool),
+            lambda lo, hi, pool=pool, kind=kind: block_bytes(pool, lo, hi, kind),
+        )
+    return blocks
 
 
-def _block_digests(rows: Iterable[dict[str, Any]]) -> Iterable[str]:
-    """Digest of each ``SCAN_BLOCK_ROWS``-row block of the row stream.
+def block_digests(table, pools=None) -> dict[str, Any]:
+    """A table's content as per-block digests, memoized on the table.
 
-    Blocks cover absolute row positions ``[k*B, (k+1)*B)`` in dataset
-    order; each block digest folds its rows' canonical encodings, so the
-    digest sequence is a pure function of the row stream (and of nothing
-    else — two tables with identical rows share every block digest).
+    ``{"block_rows": B, "rows": [...], "pools": {name: [...]}}``: one
+    digest per ``B`` rows over the bytes of every per-row column
+    (``table.digest_columns``), and one per ``B`` entries of each value
+    pool (``table.digest_pools``) over those entries in their segment
+    encoding (:func:`repro.segments.pools.block_bytes`).  Interned ids
+    are a pure function of the row stream, so the columns and pools
+    cover exactly the rows' values; two tables with the same rows share
+    every block digest, whatever backs them.
+
+    The memo has three producers: a cold pass here (a segment writer
+    passes the ``pools`` it already encoded), a segment opener seeding
+    the blocks its header stores, and the epoch overlay extending a
+    base's blocks (:func:`extended_block_digests`).
     """
-    hasher = None
-    count = 0
-    for row in rows:
-        if hasher is None:
-            hasher = hashlib.blake2b(digest_size=_PART_BYTES)
-        hasher.update(canonical_json(row).encode("utf-8"))
-        hasher.update(b"\n")
-        count += 1
-        if count == SCAN_BLOCK_ROWS:
-            yield hasher.hexdigest()
-            hasher = None
-            count = 0
-    if hasher is not None:
-        yield hasher.hexdigest()
+    memo = getattr(table, "_repro_blocks", None)
+    if memo is not None and memo.get("block_rows") == BLOCK_ROWS:
+        return memo
+    return _remember(table, _blocks(table, pools=pools))
 
 
-def scan_block_digests(scan) -> tuple[str, ...]:
-    """The scan dataset's per-block row digests, memoized on the table.
+def extended_block_digests(table, base) -> dict[str, Any]:
+    """Block digests of ``table`` — ``base``'s rows and pool values
+    followed by appended ones — reusing every full block of ``base``
+    and re-hashing only the trailing partial blocks from buffers.
 
-    The memo rides the backing table (datasets are never mutated in
-    place), which lets three producers share one representation: a cold
-    walk here, the segment loader seeding digests persisted in the
-    segment header, and the epoch overlay extending a base table's
-    digests with only the appended rows.
+    This is the epoch overlay's O(delta) fingerprint path; the result
+    equals :func:`block_digests` over the full table (the property
+    suite holds it to that).
     """
-    # A bare ScanTable digests like its dataset.
-    table = scan if hasattr(scan, "row_dicts") else scan.table
-    memo = getattr(table, "_repro_block_digests", None)
-    if memo is not None and memo[0] == SCAN_BLOCK_ROWS:
-        return memo[1]
-    digests = tuple(_block_digests(table.row_dicts()))
+    return _remember(table, _blocks(table, base=base))
+
+
+def _remember(table, blocks: dict[str, Any]) -> dict[str, Any]:
     try:
-        object.__setattr__(table, "_repro_block_digests", (SCAN_BLOCK_ROWS, digests))
+        object.__setattr__(table, "_repro_blocks", blocks)
     except (AttributeError, TypeError):
         pass
-    return digests
-
-
-def extended_block_digests(
-    table, base_digests: Sequence[str], n_base_rows: int
-) -> tuple[str, ...]:
-    """Block digests of ``table`` — base rows plus appended rows —
-    reusing the base's digest for every *full* base block and re-walking
-    only the base's trailing partial block plus the appended rows.
-
-    This is the epoch overlay's O(delta) fingerprint path; the result is
-    byte-identical to :func:`scan_block_digests` over the full table
-    (the property suite holds it to that).
-    """
-    full = n_base_rows // SCAN_BLOCK_ROWS
-    tail = tuple(_block_digests(table.row_dicts(start=full * SCAN_BLOCK_ROWS)))
-    return tuple(base_digests[:full]) + tail
+    return blocks
 
 
 def _memo_digest(obj: Any, build) -> str:
@@ -196,8 +210,8 @@ def _memo_digest(obj: Any, build) -> str:
     digest computed once is good for the object's lifetime.  Memoizing
     per component rather than per bundle matters because every
     ``run_pipeline`` call builds a fresh :class:`PipelineInputs` around
-    the same long-lived datasets: the expensive content walk is paid on
-    the first probe of a study, not on every run over it.
+    the same long-lived datasets: the digest is paid on the first probe
+    of a study, not on every run over it.
     """
     cached = getattr(obj, "_repro_content_digest", None)
     if cached is not None:
@@ -210,31 +224,42 @@ def _memo_digest(obj: Any, build) -> str:
     return digest
 
 
-def _scan_digest(scan) -> str:
+def _channel_digest(dataset, name: str, header) -> str:
+    """An evidence channel's digest: its table's blocks plus
+    ``header(dataset)``, the content the dataset holds beyond them."""
+
     def build() -> str:
         hasher = _Hasher()
-        hasher.feed(
-            "scan.header",
-            {
-                "dates": [d.isoformat() for d in scan.scan_dates],
-                "known_missing": sorted(
-                    d.isoformat() for d in scan.known_missing_dates
-                ),
-            },
-        )
-        # The rows enter as per-block digests (see ``_block_digests``):
-        # same content coverage as feeding every row, but an epoch
-        # overlay can produce the block list incrementally.
-        hasher.feed(
-            "scan.blocks",
-            {
-                "block_rows": SCAN_BLOCK_ROWS,
-                "digests": list(scan_block_digests(scan)),
-            },
-        )
+        hasher.feed(f"{name}.header", header(dataset))
+        hasher.feed(f"{name}.blocks", block_digests(dataset.table))
         return hasher.hexdigest()
 
-    return _memo_digest(scan, build)
+    return _memo_digest(dataset, build)
+
+
+def _scan_header(scan) -> dict[str, Any]:
+    return {
+        "dates": [d.isoformat() for d in scan.scan_dates],
+        "known_missing": sorted(d.isoformat() for d in scan.known_missing_dates),
+    }
+
+
+def _ct_header(crtsh) -> Any:
+    """What turns the CT table's rows into answers: the revocation
+    registry and as-of date (each certificate's retroactive status),
+    the publication delay and horizon (when an entry surfaces, and
+    whether it does) and how many entries the horizon hid."""
+    registry = crtsh._revocations
+    return jsonable(
+        {
+            "asof": crtsh._asof,
+            "delay_days": crtsh._publication_delay.days,
+            "horizon": crtsh._publication_horizon,
+            "hidden": crtsh.table.hidden_entries,
+            "mechanisms": registry._mechanism,
+            "revocations": registry._entries,
+        }
+    )
 
 
 def inputs_digest(inputs: PipelineInputs) -> str:
@@ -244,24 +269,17 @@ def inputs_digest(inputs: PipelineInputs) -> str:
     faults change the key without any special-casing here.  Component
     digests are memoized on the dataset objects (see
     :func:`_memo_digest`), and the combined digest on the bundle, so
-    repeat runs over the same study pay the content walk once.
+    repeat runs over the same study pay the content hashing once.
     """
     cached = getattr(inputs, "_repro_inputs_digest", None)
     if cached is not None:
         return cached
     hasher = _Hasher()
-    hasher.feed("scan", _scan_digest(inputs.scan))
-    hasher.feed(
-        "pdns",
-        _memo_digest(inputs.pdns, lambda: value_digest(_pdns_rows(inputs.pdns))),
-    )
-    hasher.feed(
-        "ct",
-        _memo_digest(
-            inputs.crtsh,
-            lambda: value_digest(inputs.crtsh.fingerprint_payload()),
-        ),
-    )
+    hasher.feed("scan", _channel_digest(inputs.scan, "scan", _scan_header))
+    # pDNS rows are the aggregates in canonical (rrname, rtype, rdata)
+    # order, so the table alone is the database's content.
+    hasher.feed("pdns", _channel_digest(inputs.pdns, "pdns", lambda pdns: None))
+    hasher.feed("ct", _channel_digest(inputs.crtsh, "ct", _ct_header))
     hasher.feed(
         "as2org",
         _memo_digest(

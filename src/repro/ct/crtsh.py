@@ -147,42 +147,6 @@ class CrtShService:
             self._status_cache[cert.fingerprint] = status
         return status
 
-    def fingerprint_payload(self) -> dict:
-        """The service's observable content as a JSON-safe dict.
-
-        Covers everything that can change a query answer: every logged
-        certificate (identity, log timestamp, retroactive revocation
-        status) plus the as-of date and the publication delay/horizon a
-        derived (fault-degraded) service filters through.  Entries are
-        sorted, so two services with the same content produce the same
-        payload regardless of log insertion order.
-        """
-        entries = []
-        for log in self._logs:
-            for entry in log.entries():
-                cert = entry.certificate
-                entries.append(
-                    {
-                        "crtsh_id": cert.crtsh_id,
-                        "fingerprint": cert.fingerprint,
-                        "logged_at": entry.timestamp.isoformat(),
-                        "status": self._status(cert).name,
-                    }
-                )
-        entries.sort(
-            key=lambda e: (e["logged_at"], e["crtsh_id"], e["fingerprint"])
-        )
-        return {
-            "asof": self._asof.isoformat() if self._asof else None,
-            "delay_days": self._publication_delay.days,
-            "horizon": (
-                self._publication_horizon.isoformat()
-                if self._publication_horizon
-                else None
-            ),
-            "entries": entries,
-        }
-
     def search(
         self,
         domain: str,

@@ -42,9 +42,17 @@ _ROW_COLUMNS = ("crtsh_id", "cert_id", "issuer_id", "sans_id", "nb_ord", "na_ord
 #: Intern pools shared between a table and everything derived from it.
 _POOLS = ("fps", "certs", "issuers", "san_sets")
 
+#: The pools the content digest covers, with their segment encodings
+#: (``certs`` rides ``fps`` id for id).
+_DIGEST_POOLS = (("fps", "str"), ("issuers", "str"), ("san_sets", "tuple_str"))
+
 
 class CtTable:
     """Struct-of-arrays CT entry store with interned value pools."""
+
+    #: What the content digest hashes (:mod:`repro.cache.fingerprint`).
+    digest_columns = _ROW_COLUMNS
+    digest_pools = _DIGEST_POOLS
 
     def __init__(self) -> None:
         # -- per-row columns -------------------------------------------------

@@ -280,72 +280,39 @@ def _seed_deployment(
     base_fp = stage_fingerprint(
         derive_run_key(degraded_base, plan, config), chain
     )
-    base_domains = degraded_base.scan.domains()
-    base_encoded = _base_products(
-        cache, base_fp, len(base_domains),
-        degraded_base.scan.table.domain_index,
-    )
-    if base_encoded is None:
-        return False, 0, len(merged_domains), "no-base-products"
-
     from repro.core.deployment import encode_domain_maps
 
-    scan_direct = dirty.scan_direct
-    periods = degraded_merged.periods
-    max_gap = config.max_gap_scans
-    n_base = len(base_domains)
-    spliced: list[tuple[str, Any]] = []
-    reused = 0
-    recomputed = 0
-    if len(merged_domains) == n_base:
-        # No new domains this epoch: merged domains are a sorted
-        # superset of base domains, so equal counts mean identical
-        # ordinals.  Reuse becomes one pass over the base products that
-        # only touches domain *names* for the dirty set and the
-        # (funnel-sized) non-empty encodings — no per-domain walk.
-        dirty_ordinals: dict[int, str] = {}
-        for name in scan_direct:
-            ordinal = degraded_merged.scan.table.domain_index(name)
-            if ordinal is not None:
-                dirty_ordinals[ordinal] = name
-        for ordinal, encoded in enumerate(base_encoded):
-            name = dirty_ordinals.get(ordinal)
-            if name is None and encoded is not _MISSING:
-                reused += 1
-                if encoded:
-                    spliced.append((merged_domains[ordinal], encoded))
-                continue
-            if name is None:
-                name = merged_domains[ordinal]
-            encoded = encode_domain_maps(
-                degraded_merged.scan, name, periods, max_gap
-            )
-            recomputed += 1
-            if encoded:
-                spliced.append((name, encoded))
+    merged_scan = degraded_merged.scan
+
+    def encode(name: str):
+        return encode_domain_maps(
+            merged_scan, name, degraded_merged.periods, config.max_gap_scans
+        )
+
+    entry = cache.get(base_fp)
+    if entry is not None:
+        # The base entry lists every non-empty encoding by name (a
+        # domain it omits encoded empty).  Only the dirty domains in the
+        # merged population re-encode, so the splice touches the entry
+        # and the dirty set, never the population.
+        redo = {
+            name for name in dirty.scan_direct
+            if merged_scan.table.domain_index(name) is not None
+        }
+        spliced = sorted(
+            [(name, enc) for name, enc in entry.products["encoded_maps"] if name not in redo]
+            + [(name, enc) for name in redo if (enc := encode(name))]
+        )
+        recomputed = len(redo)
+        reused = len(merged_domains) - recomputed
     else:
-        j = 0
-        for name in merged_domains:
-            # A single forward pointer aligns the two sorted domain
-            # sequences without a lookup table.
-            while j < n_base and base_domains[j] < name:
-                j += 1
-            encoded = _MISSING
-            if (
-                j < n_base
-                and base_domains[j] == name
-                and name not in scan_direct
-            ):
-                encoded = base_encoded[j]
-            if encoded is _MISSING:
-                encoded = encode_domain_maps(
-                    degraded_merged.scan, name, periods, max_gap
-                )
-                recomputed += 1
-            else:
-                reused += 1
-            if encoded:
-                spliced.append((name, encoded))
+        seeded = _resume_splice(
+            cache, base_fp, degraded_base.scan.domains(), merged_domains,
+            dirty.scan_direct, encode,
+        )
+        if seeded is None:
+            return False, 0, len(merged_domains), "no-base-products"
+        spliced, reused, recomputed = seeded
 
     cache.put(
         merged_fp,
@@ -364,27 +331,42 @@ def _seed_deployment(
     return True, reused, recomputed, None
 
 
-def _base_products(
-    cache: StageCache, base_fp: str, n_base: int, domain_index
-) -> list | None:
-    """The base run's per-domain encodings, aligned to base ordinals.
+def _resume_splice(cache, base_fp, base_domains, merged_domains, scan_direct, encode):
+    """``(spliced, reused, recomputed)`` from the per-shard products an
+    interrupted base run banked via its resume manifest, or None.
 
-    Prefers the stage-level entry (every domain covered; the entry only
-    lists non-empty encodings, so absence means empty — and the listed
-    population is funnel-sized, so the name->ordinal scatter touches
-    few pooled strings).  Falls back to the per-shard products an
-    interrupted base run banked via its resume manifest — uncovered
-    ordinals stay :data:`_MISSING` and are recomputed by the caller.
+    Shards that never completed leave their ordinals :data:`_MISSING`,
+    so this walks the merged population: a single forward pointer
+    aligns it with the (sorted) base population, and every domain that
+    is dirty, new or uncovered re-encodes.
     """
-    entry = cache.get(base_fp)
-    if entry is not None:
-        encoded: list = [()] * n_base
-        for name, enc in entry.products["encoded_maps"]:
-            ordinal = domain_index(name)
-            if ordinal is None:
-                return None  # entry from a different base population
-            encoded[ordinal] = enc
-        return encoded
+    base_encoded = _resume_products(cache, base_fp, len(base_domains))
+    if base_encoded is None:
+        return None
+    n_base = len(base_domains)
+    spliced: list[tuple[str, Any]] = []
+    reused = recomputed = 0
+    j = 0
+    for name in merged_domains:
+        while j < n_base and base_domains[j] < name:
+            j += 1
+        encoded = _MISSING
+        if j < n_base and base_domains[j] == name and name not in scan_direct:
+            encoded = base_encoded[j]
+        if encoded is _MISSING:
+            encoded = encode(name)
+            recomputed += 1
+        else:
+            reused += 1
+        if encoded:
+            spliced.append((name, encoded))
+    return spliced, reused, recomputed
+
+
+def _resume_products(cache: StageCache, base_fp: str, n_base: int) -> list | None:
+    """The per-shard products an interrupted base run banked via its
+    resume manifest, aligned to base ordinals; uncovered ordinals stay
+    :data:`_MISSING`."""
     from repro.cache.resume import ResumeManifest
 
     manifest = ResumeManifest(cache.root)

@@ -68,6 +68,12 @@ def _digest(payload: bytes) -> str:
     return hashlib.blake2b(payload, digest_size=_DIGEST_BYTES).hexdigest()
 
 
+def _ends_line(handle) -> bool:
+    """Whether the file ``handle`` has open ends in a newline."""
+    handle.seek(-1, os.SEEK_END)
+    return handle.read(1) == b"\n"
+
+
 def _checksum(payload: bytes) -> str:
     return hashlib.blake2b(payload, digest_size=_CHECKSUM_BYTES).hexdigest()
 
@@ -324,7 +330,10 @@ class RunLedger:
 
         The record file lands first (atomically), so a crash between
         the two steps leaves an orphaned record — garbage the next gc
-        collects — never an index line pointing at nothing.
+        collects — never an index line pointing at nothing.  A crash
+        inside the index append leaves an unterminated last line; the
+        next append terminates it first, so the torn line stays one
+        evicted entry and never swallows a new one.
         """
         seq = self._next_seq()
         payload_dict = record.to_dict()
@@ -355,16 +364,15 @@ class RunLedger:
             },
             sort_keys=True,
         )
-        with self.index_path.open("a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
+        with self.index_path.open("a+b") as handle:
+            torn = handle.tell() > 0 and not _ends_line(handle)
+            handle.write(b"\n" * torn + line.encode("utf-8") + b"\n")
         return record.run_id
 
     def _next_seq(self) -> int:
-        try:
-            with self.index_path.open("rb") as handle:
-                return sum(1 for _ in handle)
-        except OSError:
-            return 0
+        """One past the highest seq in the index: gc drops old lines and
+        a torn line carries none, so the line count is not a seq."""
+        return max((entry.seq + 1 for entry in self.entries()), default=0)
 
     # -- reading ---------------------------------------------------------------
 

@@ -57,9 +57,16 @@ _POOLS = ("rrnames", "rdatas")
 #: id columns and the pools they index, for ``select`` re-interning.
 _ID_COLUMNS = (("rrname_id", "rrnames"), ("rdata_id", "rdatas"))
 
+#: The pools the content digest covers, with their segment encodings.
+_DIGEST_POOLS = (("rrnames", "str"), ("rdatas", "str"))
+
 
 class PdnsTable:
     """Struct-of-arrays passive-DNS store with interned value pools."""
+
+    #: What the content digest hashes (:mod:`repro.cache.fingerprint`).
+    digest_columns = _ROW_COLUMNS
+    digest_pools = _DIGEST_POOLS
 
     def __init__(self) -> None:
         # -- per-row columns -------------------------------------------------

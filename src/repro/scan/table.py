@@ -69,6 +69,19 @@ _INTERNED = (
     ("base_sets", "_bases"),
 )
 
+#: The pools the content digest covers, each with its segment encoding
+#: (see :func:`repro.cache.fingerprint.block_digests`).  ``ip_ints`` and
+#: ``certs`` are not listed: they ride ``ips`` and ``cert_fps`` id for id.
+_DIGEST_POOLS = (
+    ("ips", "str"),
+    ("asns", "int"),
+    ("cert_fps", "str"),
+    ("countries", "str"),
+    ("port_sets", "tuple_int"),
+    ("name_sets", "tuple_str"),
+    ("base_sets", "tuple_str"),
+)
+
 
 class _Interner:
     """First-seen-order value pool: ``value -> small int id``.
@@ -109,6 +122,10 @@ def _best_effort_ip_int(ip: str) -> int:
 
 class ScanTable:
     """Struct-of-arrays store of annotated scan rows with a domain index."""
+
+    #: What the content digest hashes: every per-row column and pool.
+    digest_columns = _ROW_COLUMNS
+    digest_pools = _DIGEST_POOLS
 
     def __init__(self) -> None:
         # -- per-row columns (aligned, one entry per record) ------------------
@@ -439,16 +456,11 @@ class ScanTable:
 
     # -- canonical row walk ----------------------------------------------------
 
-    def row_dicts(self, start: int = 0) -> Iterator[dict[str, Any]]:
-        """Canonical per-row dicts in dataset order (digest/export walk).
-
-        Matches the shape :mod:`repro.cache.fingerprint` feeds its
-        hasher, built straight from the columns — no record objects are
-        materialized.  ``start`` begins the walk at that absolute row,
-        which is how the epoch overlay re-digests only the rows a delta
-        appended instead of the whole dataset.
-        """
-        for row in range(start, len(self)):
+    def row_dicts(self) -> Iterator[dict[str, Any]]:
+        """Canonical per-row dicts in dataset order, built straight from
+        the columns (no record objects): the value-space view two tables
+        compare by."""
+        for row in range(len(self)):
             yield {
                 "d": date.fromordinal(self.date_ord[row]).isoformat(),
                 "ip": self.ips[self.ip_id[row]],

@@ -8,8 +8,8 @@ bundle into one directory of ``repro-segment/1`` files::
     ct.seg      the published CT entry table
     aux.seg     everything small: AS2Org, periods, routing, geo,
                 the CT service envelope, and the raw CT logs
-                (loaded lazily, only for content fingerprinting
-                and fault derivation)
+                (loaded lazily, only for publication-delay
+                derivation and the epoch merge)
 
 ``load_segment_inputs`` reopens the directory as a bundle whose three
 evidence channels are mmap-backed: the scan dataset wraps a
@@ -17,9 +17,11 @@ evidence channels are mmap-backed: the scan dataset wraps a
 :class:`~repro.segments.tables.SegmentPdnsTable` (its aggregate dict
 hydrates only if a derivation needs it), and crt.sh a :class:`SegmentCrtShService`
 that answers every query from the mapped table without touching the
-pickled logs.  Content digests are unchanged — a segment-backed bundle
-and its in-RAM twin produce the same ``inputs_digest``, so they share
-cache entries and golden reports byte for byte.
+pickled logs.  Each table segment's header stores its content-digest
+blocks, so the first cache probe over a reopened bundle hashes nothing;
+a segment-backed bundle and its in-RAM twin produce the same
+``inputs_digest``, so they share cache entries and golden reports byte
+for byte.
 """
 
 from __future__ import annotations
@@ -57,10 +59,11 @@ def segment_paths(directory: str | Path) -> dict[str, Path]:
 class SegmentCrtShService(CrtShService):
     """A crt.sh service answering from a mapped CT segment.
 
-    The raw logs (needed only by :meth:`fingerprint_payload` and
-    publication-delay derivation) stay pickled in the aux segment and
-    load lazily; every search goes straight to the segment table.
-    Pickles as its directory, so workers reattach to the mapping.
+    The raw logs (needed only to derive a publication-delayed service
+    and to merge an epoch's entries) stay pickled in the aux segment and
+    load lazily; every search, and the content digest, goes straight to
+    the segment table.  Pickles as its directory, so workers reattach to
+    the mapping.
     """
 
     def __init__(self, directory: str | Path) -> None:

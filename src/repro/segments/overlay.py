@@ -25,9 +25,12 @@ by exploiting two invariants of the columnar design:
   ``domains`` stays the base pool, or becomes a
   :class:`MergedSortedPool` view when the delta adds names.
 
-Row columns and ``ip_ints`` copy as one buffer each.  The result is
-**identical** — pools, ids, columns, CSR arrays, pickled wire form,
-block digests — to a table rebuilt from the concatenated rows.  The
+Row columns and ``ip_ints`` copy as one buffer each, and the content
+digest's blocks extend the same way: every full base block is reused,
+and only the trailing partial blocks are hashed again, from the column
+and pool buffers.  The result is **identical** — pools, ids, columns,
+CSR arrays, pickled wire form, digest blocks — to a table rebuilt from
+the concatenated rows.  The
 differential property suite (``tests/test_properties_epochs.py``) pins
 exactly that equivalence, which is what makes the epoch engine's reuse
 of base products sound rather than heuristic.
@@ -40,6 +43,7 @@ from array import array
 from bisect import bisect_left
 from typing import Iterable, Sequence
 
+from repro.cache.fingerprint import extended_block_digests
 from repro.scan.table import _INTERNED, _ROW_COLUMNS, ScanTable, _TableBuilder
 from repro.segments.pools import ExtendedPool, MergedSortedPool, SortedPoolIndex
 
@@ -148,7 +152,6 @@ def extend_scan_table(base: ScanTable, rows: Iterable[Sequence]) -> ScanTable:
         setattr(builder, interner, extension)
         derived._pool_index[pool] = extension
 
-    n_base = len(base)
     buckets: dict[str, list[int]] = {}
     for row in rows:
         for name in row[7]:
@@ -162,7 +165,10 @@ def extend_scan_table(base: ScanTable, rows: Iterable[Sequence]) -> ScanTable:
     derived._rec_cache = base_cache + [None] * (len(derived) - len(base_cache))
 
     _splice_index(derived, base, buckets)
-    _seed_block_digests(derived, base, n_base)
+    # The cache-side half of the overlay: the merged table's content
+    # digest reuses every full base block and hashes only the trailing
+    # partial blocks, from buffers, so epoch runs pay for what changed.
+    extended_block_digests(derived, base)
     return derived
 
 
@@ -272,27 +278,6 @@ def _splice_index(
     derived.csr_off = csr_off
     derived.dom_dates = dom_dates
     derived.dom_dates_off = dom_dates_off
-
-
-def _seed_block_digests(derived: ScanTable, base: ScanTable, n_base: int) -> None:
-    """Extend the base's content-digest blocks with only the new rows.
-
-    This is the cache-side half of the overlay: the merged dataset's
-    fingerprint becomes an O(delta) computation (every full base block's
-    digest is reused), so epoch runs pay for what changed, not for what
-    they carried over.
-    """
-    from repro.cache.fingerprint import (
-        SCAN_BLOCK_ROWS,
-        extended_block_digests,
-        scan_block_digests,
-    )
-
-    base_digests = scan_block_digests(base)
-    derived._repro_block_digests = (
-        SCAN_BLOCK_ROWS,
-        extended_block_digests(derived, base_digests, n_base),
-    )
 
 
 __all__ = ["extend_scan_table"]

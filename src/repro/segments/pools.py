@@ -19,6 +19,10 @@ An epoch overlay derives a table without copying its base's pools:
 :class:`ExtendedPool` is a base pool followed by the values the delta
 appended, and :class:`MergedSortedPool` is the sorted domain pool with
 the delta's new names at their sorted positions.
+
+Each pool kind has one byte encoding (:func:`encode_pool`), shared by
+the writer, these views and the content digest, which hashes a block of
+entries as slices of the encoded buffers (:func:`block_bytes`).
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from itertools import islice
-from operator import lt
+from itertools import accumulate, islice
+from operator import lt, sub
 from typing import Any
 
 from repro.segments.format import Segment, SegmentWriter
@@ -249,51 +253,106 @@ class MergedSortedPool(Sequence):
         return ident + bisect_right(self.root_at, ident)
 
 
-# -- writer/reader helpers (pool layout convention over format blobs) ----------
+# -- the segment encoding (pool layout convention over format blobs) -----------
+#
+# One encoding per pool kind, shared by the segment writer, the reader's
+# lazy views and the content digest:
+#
+# * ``str``       -- ``<name>.off`` (n+1 uint64 offsets) + ``<name>.dat``
+#                    (the UTF-8 values, concatenated);
+# * ``tuple_str`` -- ``<name>.idx`` (n+1 offsets into the flattened
+#                    values) + the flattened values as ``<name>.val``
+#                    in the ``str`` encoding;
+# * ``tuple_int`` -- ``<name>.idx`` + ``<name>.val`` (int64 values);
+# * ``int``       -- ``<name>`` (one int64 per entry).
 
 
 def _offsets(lengths) -> array:
-    out = array("Q", [0])
-    total = 0
-    for length in lengths:
-        total += length
-        out.append(total)
-    return out
+    return array("Q", accumulate(lengths, initial=0))
 
 
-def write_str_pool(writer: SegmentWriter, name: str, values) -> None:
-    encoded = [value.encode("utf-8") for value in values]
-    writer.add_array(f"{name}.off", _offsets(len(e) for e in encoded))
-    writer.add_bytes(f"{name}.dat", b"".join(encoded))
-
-
-def read_str_pool(segment: Segment, name: str) -> StrPool:
-    return StrPool(segment.array(f"{name}.off"), segment.blob(f"{name}.dat"))
-
-
-def write_tuple_str_pool(writer: SegmentWriter, name: str, items) -> None:
-    items = list(items)
-    writer.add_array(f"{name}.idx", _offsets(len(item) for item in items))
+def encode_pool(values, kind: str):
+    """``values`` in the segment encoding ``kind``, as the view a reader
+    maps (an ``int`` pool is its typed array)."""
+    if kind == "str":
+        encoded = [value.encode("utf-8") for value in values]
+        return StrPool(_offsets(map(len, encoded)), b"".join(encoded))
+    items = list(values)
+    if kind == "int":
+        return array("q", items)
     flat = [value for item in items for value in item]
-    write_str_pool(writer, f"{name}.val", flat)
+    bounds = _offsets(map(len, items))
+    if kind == "tuple_str":
+        return TupleStrPool(bounds, encode_pool(flat, "str"))
+    if kind == "tuple_int":
+        return TupleIntPool(bounds, array("q", flat))
+    raise ValueError(f"unknown pool kind {kind!r}")
 
 
-def read_tuple_str_pool(segment: Segment, name: str) -> TupleStrPool:
-    return TupleStrPool(
-        segment.array(f"{name}.idx"), read_str_pool(segment, f"{name}.val")
-    )
+def write_pool(writer: SegmentWriter, name: str, view) -> None:
+    """Add an encoded pool's blobs (see :func:`encode_pool`)."""
+    if isinstance(view, StrPool):
+        writer.add_array(f"{name}.off", view._offsets)
+        writer.add_bytes(f"{name}.dat", view._blob)
+    elif isinstance(view, TupleStrPool):
+        writer.add_array(f"{name}.idx", view._bounds)
+        write_pool(writer, f"{name}.val", view._values)
+    elif isinstance(view, TupleIntPool):
+        writer.add_array(f"{name}.idx", view._bounds)
+        writer.add_array(f"{name}.val", view._values)
+    else:
+        writer.add_array(name, view)
 
 
-def write_tuple_int_pool(writer: SegmentWriter, name: str, items) -> None:
-    items = list(items)
-    writer.add_array(f"{name}.idx", _offsets(len(item) for item in items))
-    writer.add_array(
-        f"{name}.val", array("q", [value for item in items for value in item])
-    )
+def read_pool(segment: Segment, name: str, kind: str):
+    """The lazy view of one pool a segment stores in encoding ``kind``."""
+    if kind == "str":
+        return StrPool(segment.array(f"{name}.off"), segment.blob(f"{name}.dat"))
+    if kind == "tuple_str":
+        return TupleStrPool(
+            segment.array(f"{name}.idx"), read_pool(segment, f"{name}.val", "str")
+        )
+    if kind == "tuple_int":
+        return TupleIntPool(segment.array(f"{name}.idx"), segment.array(f"{name}.val"))
+    return segment.array(name)
 
 
-def read_tuple_int_pool(segment: Segment, name: str) -> TupleIntPool:
-    return TupleIntPool(segment.array(f"{name}.idx"), segment.array(f"{name}.val"))
+def _lengths(offsets, lo: int, hi: int) -> array:
+    return array("Q", map(sub, offsets[lo + 1 : hi + 1], offsets[lo:hi]))
+
+
+def block_bytes(pool, lo: int, hi: int, kind: str) -> list:
+    """Entries ``[lo, hi)`` of ``pool`` in the encoding ``kind``, as byte
+    chunks: their lengths, then their payload, stream by stream.
+
+    A mapped view yields slices of its own buffers (no value is
+    decoded); a list is encoded first.  An :class:`ExtendedPool` block
+    spanning base and appended values yields each stream of both parts
+    in turn, so it hashes like the same block of one flat pool.
+    """
+    if isinstance(pool, ExtendedPool):
+        n = len(pool.base)
+        parts = []
+        if lo < n:
+            parts.append(block_bytes(pool.base, lo, min(hi, n), kind))
+        if hi > n:
+            parts.append(block_bytes(pool.extra, max(lo - n, 0), hi - n, kind))
+        return [chunk for stream in zip(*parts) for chunk in stream]
+    if isinstance(pool, StrPool):
+        offsets = pool._offsets
+        return [_lengths(offsets, lo, hi), pool._blob[offsets[lo] : offsets[hi]]]
+    if isinstance(pool, TupleStrPool):
+        bounds = pool._bounds
+        return [
+            _lengths(bounds, lo, hi),
+            *block_bytes(pool._values, bounds[lo], bounds[hi], "str"),
+        ]
+    if isinstance(pool, TupleIntPool):
+        bounds = pool._bounds
+        return [_lengths(bounds, lo, hi), memoryview(pool._values)[bounds[lo] : bounds[hi]]]
+    if kind == "int" and not isinstance(pool, (list, tuple)):
+        return [memoryview(pool)[lo:hi]]
+    return block_bytes(encode_pool(pool[lo:hi], kind), 0, hi - lo, kind)
 
 
 __all__: list[Any] = [
@@ -303,11 +362,9 @@ __all__: list[Any] = [
     "StrPool",
     "TupleIntPool",
     "TupleStrPool",
-    "read_str_pool",
-    "read_tuple_int_pool",
-    "read_tuple_str_pool",
+    "block_bytes",
+    "encode_pool",
+    "read_pool",
     "sorted_order",
-    "write_str_pool",
-    "write_tuple_int_pool",
-    "write_tuple_str_pool",
+    "write_pool",
 ]

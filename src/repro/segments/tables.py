@@ -39,13 +39,10 @@ from repro.scan.table import _INTERNED, ScanTable
 from repro.segments.format import Segment, SegmentError, SegmentWriter
 from repro.segments.pools import (
     SortedPoolIndex,
-    read_str_pool,
-    read_tuple_int_pool,
-    read_tuple_str_pool,
+    encode_pool,
+    read_pool,
     sorted_order,
-    write_str_pool,
-    write_tuple_int_pool,
-    write_tuple_str_pool,
+    write_pool,
 )
 
 #: Scan columns stored as raw arrays, name -> in-table attribute (1:1).
@@ -60,13 +57,16 @@ _SCAN_ARRAYS = (
     "bases_id",
     "flags",
     "ip_ints",
-    "asns",
     "csr_rows",
     "csr_dates",
     "csr_off",
     "dom_dates",
     "dom_dates_off",
 )
+
+#: Scan pools stored in their segment encodings: the digested pools plus
+#: the sorted domain pool.
+_SCAN_POOLS = ScanTable.digest_pools + (("domains", "str"),)
 
 _PDNS_ARRAYS = (
     "rrname_id",
@@ -100,13 +100,10 @@ def _as_array(table, name):
     from array import array
 
     value = getattr(table, name)
-    if isinstance(value, array):
-        return value
     if isinstance(value, memoryview):
         # Re-segmenting a segment-backed table: columns are typed views.
         return array(value.format, value)
-    # asns is a plain list of ints on the in-RAM table.
-    return array("q", value)
+    return value
 
 
 def _expect_table(segment: Segment, table: str) -> None:
@@ -114,6 +111,27 @@ def _expect_table(segment: Segment, table: str) -> None:
         raise SegmentError(
             f"{segment.path}: expected a {table!r} segment, found {segment.table!r}"
         )
+
+
+#: Header key of a table's content-digest blocks.  A segment written
+#: before the byte digest has none (its row-scheme ``block_digests``
+#: never seeds the memo): its blocks are hashed from its columns on the
+#: first cache probe instead.
+_BLOCKS_KEY = "content_blocks"
+
+
+def _block_meta(table, pools=None) -> dict:
+    from repro.cache.fingerprint import block_digests
+
+    return {_BLOCKS_KEY: block_digests(table, pools)}
+
+
+def _seed_blocks(table, segment: Segment) -> None:
+    """Seed the content-digest memo from the header, so the first cache
+    probe over the opened table hashes nothing."""
+    blocks = segment.meta.get(_BLOCKS_KEY)
+    if blocks is not None:
+        table._repro_blocks = blocks
 
 
 # -- scan ----------------------------------------------------------------------
@@ -128,26 +146,24 @@ def write_scan_table(
 ) -> Path:
     """Write one indexed :class:`ScanTable` (plus its dataset calendar).
 
-    The header also carries the table's per-block row digests (see
-    :func:`repro.cache.fingerprint.scan_block_digests`): the write is
-    already an O(rows) walk, and persisting the digests makes the first
-    cache probe over the opened bundle O(1) instead of a full re-walk.
+    Every pool is encoded once, and the header's content-digest blocks
+    (:func:`repro.cache.fingerprint.block_digests`) are hashed from the
+    same buffers the file stores, so the first cache probe over the
+    opened bundle hashes nothing.
     """
-    from repro.cache.fingerprint import SCAN_BLOCK_ROWS, scan_block_digests
-
     orders = {
         name: sorted_order(getattr(table, name))
         for name in [pool for pool, _ in _INTERNED] + ["domains"]
     }
+    pools = {name: encode_pool(getattr(table, name), kind) for name, kind in _SCAN_POOLS}
     writer = SegmentWriter(
         "scan",
         meta={
             "n_rows": len(table),
             "scan_dates": sorted(d.toordinal() for d in scan_dates),
             "known_missing": sorted(d.toordinal() for d in known_missing),
-            "block_rows": SCAN_BLOCK_ROWS,
-            "block_digests": list(scan_block_digests(table)),
             "sorted_pools": sorted(n for n, order in orders.items() if order is None),
+            **_block_meta(table, pools),
         },
     )
     for name in _SCAN_ARRAYS:
@@ -155,13 +171,8 @@ def write_scan_table(
     for name, order in orders.items():
         if order is not None:
             writer.add_array(f"{name}.ord", order)
-    write_str_pool(writer, "ips", table.ips)
-    write_str_pool(writer, "cert_fps", table.cert_fps)
-    write_str_pool(writer, "countries", table.countries)
-    write_str_pool(writer, "domains", table.domains)
-    write_tuple_int_pool(writer, "port_sets", table.port_sets)
-    write_tuple_str_pool(writer, "name_sets", table.name_sets)
-    write_tuple_str_pool(writer, "base_sets", table.base_sets)
+    for name, view in pools.items():
+        write_pool(writer, name, view)
     writer.add_pickle("certs", list(table.certs))
     return writer.write(path)
 
@@ -180,24 +191,12 @@ class SegmentScanTable(ScanTable):
         self.segment = segment
         for name in _SCAN_ARRAYS:
             setattr(self, name, segment.array(name))
-        self.ips = read_str_pool(segment, "ips")
-        self.cert_fps = read_str_pool(segment, "cert_fps")
-        self.countries = read_str_pool(segment, "countries")
-        self.domains = read_str_pool(segment, "domains")
-        self.port_sets = read_tuple_int_pool(segment, "port_sets")
-        self.name_sets = read_tuple_str_pool(segment, "name_sets")
-        self.base_sets = read_tuple_str_pool(segment, "base_sets")
+        for name, kind in _SCAN_POOLS:
+            setattr(self, name, read_pool(segment, name, kind))
         self.certs = segment.pickle("certs")
         self._dom_index = SortedPoolIndex(self.domains)
         self._rec_cache = [None] * len(self.date_ord)
-        digests = segment.meta.get("block_digests")
-        if digests:
-            from repro.cache.fingerprint import SCAN_BLOCK_ROWS
-
-            if int(segment.meta.get("block_rows", 0)) == SCAN_BLOCK_ROWS:
-                # Seed the digest memo from the header: the first cache
-                # probe over this bundle then costs no row walk at all.
-                self._repro_block_digests = (SCAN_BLOCK_ROWS, tuple(digests))
+        _seed_blocks(self, segment)
 
     def _pool_order(self, name: str):
         if name in self.segment.meta.get("sorted_pools", ()):
@@ -216,7 +215,7 @@ def open_scan_table(path: str | Path) -> SegmentScanTable:
 
 
 def write_pdns_table(table: PdnsTable, path: str | Path) -> Path:
-    writer = SegmentWriter("pdns", meta={"n_rows": len(table)})
+    writer = SegmentWriter("pdns", meta={"n_rows": len(table), **_block_meta(table)})
     for name in _PDNS_ARRAYS:
         writer.add_array(name, _as_array(table, name))
     writer.add_pickle(
@@ -250,6 +249,7 @@ class SegmentPdnsTable(PdnsTable):
         self._name_index = {name: i for i, name in enumerate(self.names)}
         self._dom_index = {base: i for i, base in enumerate(self.domains)}
         self._rec_cache = [None] * len(self.first_ord)
+        _seed_blocks(self, segment)
 
     def __reduce__(self):
         return (open_pdns_table, (str(self.segment.path),))
@@ -264,7 +264,12 @@ def open_pdns_table(path: str | Path) -> SegmentPdnsTable:
 
 def write_ct_table(table: CtTable, path: str | Path) -> Path:
     writer = SegmentWriter(
-        "ct", meta={"n_rows": len(table), "hidden_entries": table.hidden_entries}
+        "ct",
+        meta={
+            "n_rows": len(table),
+            "hidden_entries": table.hidden_entries,
+            **_block_meta(table),
+        },
     )
     for name in _CT_ARRAYS:
         writer.add_array(name, _as_array(table, name))
@@ -298,6 +303,7 @@ class SegmentCtTable(CtTable):
         self.bases = tuple(pools["bases"])
         self.hidden_entries = int(segment.meta.get("hidden_entries", 0))
         self._base_index = {base: i for i, base in enumerate(self.bases)}
+        _seed_blocks(self, segment)
 
     def __reduce__(self):
         return (open_ct_table, (str(self.segment.path),))

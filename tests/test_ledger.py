@@ -196,6 +196,32 @@ def test_gc_keeps_newest_and_removes_orphans(tmp_path):
     assert not (ledger.root / "records" / "ab" / "orphan.json").exists()
 
 
+def test_append_after_torn_line_keeps_its_entry_and_a_fresh_seq(tmp_path):
+    """A kill mid-append leaves an unterminated last line: the next
+    append must not glue itself onto it (and be evicted with it), and
+    seqs must stay unique."""
+    ledger = RunLedger(tmp_path / "ledger")
+    for i in range(3):
+        ledger.append(_record(wall=float(i + 1)))
+    with ledger.index_path.open("a", encoding="utf-8") as handle:
+        handle.write('{"schema": "repro-ledger/1", "seq": 3, "run_')
+    later = [ledger.append(_record(wall=float(i + 4))) for i in range(2)]
+    assert [e.seq for e in ledger.entries()] == [0, 1, 2, 3, 4]
+    assert ledger.evicted == 1  # the torn line alone
+    assert [id_.split("-")[0] for id_ in later] == ["000003", "000004"]
+    assert [r.wall_seconds for r in ledger.records()] == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+
+def test_append_after_gc_continues_the_seq(tmp_path):
+    ledger = RunLedger(tmp_path / "ledger")
+    for i in range(5):
+        ledger.append(_record(wall=float(i + 1)))
+    ledger.gc(keep=2)
+    run_id = ledger.append(_record(wall=6.0))
+    assert run_id.startswith("000005-")
+    assert [e.seq for e in ledger.entries()] == [3, 4, 5]
+
+
 # -- keys ----------------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
-"""Structural cost test: an epoch's scan overlay does O(delta) work.
+"""Structural cost tests: an epoch's scan overlay and its deployment
+seeding do O(delta) work.
 
 Timing cannot show O(delta) on small worlds, so this counts work
 instead.  Two segment bundles of the scale world, 2,000 and 20,000
@@ -9,22 +10,25 @@ on the first merge.  Inside :func:`extend_scan_table` the test counts
   ``StrPool`` / ``TupleStrPool`` / ``TupleIntPool`` views — and
 * ``ScanTable.record`` calls (materialized row objects).
 
-The unchanged re-digest of the base's trailing partial block
-(``extended_block_digests``) is excluded: it re-walks at most one
-digest block whatever the population.  Every delta value may bisect
-its pool, so decodes are bounded by ``c * delta values * ceil(log2
-pool)``, and a tenfold population must not grow the count the way an
-O(dataset) walk would.  The pDNS and CT merges are not covered.
+The content-digest extension is metered with the rest: it hashes the
+trailing partial blocks from buffers and decodes nothing.  Every delta
+value may bisect its pool, so decodes are bounded by ``c * delta values
+* ceil(log2 pool)``, and a tenfold population must not grow the count
+the way an O(dataset) walk would.  The pDNS and CT merges are not
+covered.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
-from repro.cache import fingerprint
+from repro.cache import StageCache
+from repro.core.pipeline import HijackPipeline
 from repro.epochs import engine, merge_inputs
+from repro.exec import SerialBackend
 from repro.scan.table import ScanTable
 from repro.segments import load_segment_inputs, pools, write_segments
 from repro.world.scale import make_delta, scale_world
@@ -37,12 +41,15 @@ INTERNED_FIELDS = ("ip", "asn", "certificate", "country", "ports", "names", "bas
 
 
 class _Meter:
-    """Counts pool decodes and record calls while switched on."""
+    """Counts pool decodes and record calls while ``engine.<target>``
+    runs; decodes of the ``watched`` pool are also counted apart."""
 
-    def __init__(self, monkeypatch) -> None:
+    def __init__(self, monkeypatch, target: str = "extend_scan_table") -> None:
         self.on = False
         self.decodes = 0
         self.records = 0
+        self.watched = None
+        self.watched_decodes = 0
         for cls in (pools.StrPool, pools.TupleStrPool, pools.TupleIntPool):
             monkeypatch.setattr(cls, "__getitem__", self._counted(cls.__getitem__))
         monkeypatch.setattr(pools.StrPool, "__iter__", self._iterated(pools.StrPool.__iter__))
@@ -53,30 +60,24 @@ class _Meter:
             return record(table, row)
 
         monkeypatch.setattr(ScanTable, "record", counted_record)
-        extend = engine.extend_scan_table
+        function = getattr(engine, target)
 
-        def metered_extend(base, rows):
+        def metered(*args, **kwargs):
             self.on = True
             try:
-                return extend(base, rows)
+                return function(*args, **kwargs)
             finally:
                 self.on = False
 
-        monkeypatch.setattr(engine, "extend_scan_table", metered_extend)
-        redigest = fingerprint.extended_block_digests
+        monkeypatch.setattr(engine, target, metered)
 
-        def unmetered_redigest(*args, **kwargs):
-            on, self.on = self.on, False
-            try:
-                return redigest(*args, **kwargs)
-            finally:
-                self.on = on
-
-        monkeypatch.setattr(fingerprint, "extended_block_digests", unmetered_redigest)
+    def _count(self, pool) -> None:
+        self.decodes += self.on
+        self.watched_decodes += self.on and pool is self.watched
 
     def _counted(self, getitem):
         def wrapper(pool, index):
-            self.decodes += self.on
+            self._count(pool)
             return getitem(pool, index)
 
         return wrapper
@@ -84,7 +85,7 @@ class _Meter:
     def _iterated(self, iterate):
         def wrapper(pool):
             for value in iterate(pool):
-                self.decodes += self.on
+                self._count(pool)
                 yield value
 
         return wrapper
@@ -132,3 +133,32 @@ def test_scan_overlay_cost_is_o_delta(bundles, monkeypatch):
     # Ten times the population may add bisection steps, never a walk.
     for few, many in zip(small, large):
         assert many < 2 * few, counts
+
+
+def test_seed_deployment_cost_is_o_delta(bundles, monkeypatch, tmp_path):
+    """Seeding an epoch from the base run's stage entry decodes domain
+    names for the dirty set and at most once per entry, never a walk
+    over the population, even when the delta adds a domain."""
+    meter = _Meter(monkeypatch, target="_seed_deployment")
+    for n, directory in bundles.items():
+        cache = StageCache(tmp_path / f"cache-{n}")
+        _, base_metrics = HijackPipeline(load_segment_inputs(directory)).profile(
+            SerialBackend(), cache=cache
+        )
+        entry_size = next(s.n_out for s in base_metrics.stages if s.name == "deployment_maps")
+        inputs = load_segment_inputs(directory)
+        delta = make_delta(inputs, seed=0, epoch=1)
+        row = delta.scan_rows[0]
+        added = "mm-added.example.net"  # sorts inside the population
+        delta = replace(delta, scan_rows=(*delta.scan_rows, (*row[:6], (added,), (added,), *row[8:])))
+        meter.watched = inputs.scan.table.domains
+
+        _, metrics, dirty = engine.run_epoch(inputs, delta, backend=SerialBackend(), cache=cache)
+
+        epoch = metrics.epoch
+        assert epoch["seeded"] and epoch["domains"] == n + 1, epoch
+        assert epoch["domains_dirty"] == len(dirty.scan_direct), epoch
+        assert epoch["domains_reused"] == n + 1 - epoch["domains_dirty"], epoch
+        steps = math.ceil(math.log2(n))
+        bound = C * len(dirty.scan_direct) * steps + entry_size
+        assert meter.watched_decodes <= bound, (n, meter.watched_decodes, bound)

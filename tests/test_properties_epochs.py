@@ -28,7 +28,7 @@ from datetime import date, timedelta
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cache.fingerprint import scan_block_digests
+from repro.cache.fingerprint import block_digests
 from repro.core.deployment import encode_domain_maps
 from repro.core.pipeline import HijackPipeline, PipelineConfig
 from repro.dns.records import RRType
@@ -112,7 +112,7 @@ class TestOverlayDifferential:
         assert _wire(derived) == _wire(rebuilt)
         # The overlay's extended content digests must equal digests
         # computed cold — cache fingerprints hang off exactly this.
-        assert scan_block_digests(derived) == scan_block_digests(rebuilt)
+        assert block_digests(derived) == block_digests(rebuilt)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(_row_spec, min_size=0, max_size=20))
@@ -179,7 +179,7 @@ def _assert_equals_rebuild(derived: ScanTable, rebuilt: ScanTable) -> None:
         for ident, value in enumerate(getattr(rebuilt, pool)):
             assert index.get(value) == ident
     assert _wire(derived) == _wire(rebuilt)
-    assert scan_block_digests(derived) == scan_block_digests(rebuilt)
+    assert block_digests(derived) == block_digests(rebuilt)
     assert _wire(pickle.loads(pickle.dumps(derived))) == _wire(rebuilt)
 
 
