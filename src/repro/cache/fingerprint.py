@@ -23,6 +23,7 @@ JSON forms.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from dataclasses import dataclass, fields, is_dataclass
 from datetime import date, datetime
@@ -202,6 +203,10 @@ def _remember(table, blocks: dict[str, Any]) -> dict[str, Any]:
     return blocks
 
 
+#: The attribute a content digest is memoized under (see _memo_digest).
+_DIGEST_MEMO = "_repro_content_digest"
+
+
 def _memo_digest(obj: Any, build) -> str:
     """Memoize a content digest on the object that owns the content.
 
@@ -213,15 +218,56 @@ def _memo_digest(obj: Any, build) -> str:
     the same long-lived datasets: the digest is paid on the first probe
     of a study, not on every run over it.
     """
-    cached = getattr(obj, "_repro_content_digest", None)
+    cached = getattr(obj, _DIGEST_MEMO, None)
     if cached is not None:
         return cached
     digest = build()
+    seed_digest(obj, digest)
+    return digest
+
+
+def seed_digest(obj: Any, digest: str) -> None:
+    """Memoize ``digest`` as ``obj``'s content digest, such as one a
+    segment stores beside the object, unless ``obj`` takes no
+    attributes."""
     try:
-        object.__setattr__(obj, "_repro_content_digest", digest)
+        object.__setattr__(obj, _DIGEST_MEMO, digest)
     except (AttributeError, TypeError):  # slots-only object: recompute
         pass
-    return digest
+
+
+def without_digest(obj: Any) -> Any:
+    """``obj`` without its digest memo: a shallow copy if it has one, so
+    what is pickled of it depends on its content alone."""
+    if _DIGEST_MEMO not in getattr(obj, "__dict__", ()):
+        return obj
+    clone = copy.copy(obj)
+    del clone.__dict__[_DIGEST_MEMO]
+    return clone
+
+
+def context_digests(inputs: PipelineInputs) -> dict[str, str | None]:
+    """The digests of a bundle's context datasets (None for an absent
+    one), memoized on each dataset.  A segment bundle stores them, so
+    its first probe hashes none of them."""
+    as2org, routing, geo = inputs.as2org, inputs.routing, inputs.geo
+    return {
+        "as2org": _memo_digest(
+            as2org,
+            lambda: value_digest(
+                [
+                    {"asn": asn, "org": org, "name": as2org.org_name(org)}
+                    for asn, org in as2org.items()
+                ]
+            ),
+        ),
+        "routing": None
+        if routing is None
+        else _memo_digest(routing, lambda: value_digest(list(routing.prefixes()))),
+        "geo": None
+        if geo is None
+        else _memo_digest(geo, lambda: value_digest(geo.items())),
+    }
 
 
 def _channel_digest(dataset, name: str, header) -> str:
@@ -280,18 +326,8 @@ def inputs_digest(inputs: PipelineInputs) -> str:
     # order, so the table alone is the database's content.
     hasher.feed("pdns", _channel_digest(inputs.pdns, "pdns", lambda pdns: None))
     hasher.feed("ct", _channel_digest(inputs.crtsh, "ct", _ct_header))
-    hasher.feed(
-        "as2org",
-        _memo_digest(
-            inputs.as2org,
-            lambda: value_digest(
-                [
-                    {"asn": asn, "org": org, "name": inputs.as2org.org_name(org)}
-                    for asn, org in inputs.as2org.items()
-                ]
-            ),
-        ),
-    )
+    context = context_digests(inputs)
+    hasher.feed("as2org", context["as2org"])
     hasher.feed(
         "periods",
         [
@@ -299,20 +335,8 @@ def inputs_digest(inputs: PipelineInputs) -> str:
             for p in inputs.periods
         ],
     )
-    hasher.feed(
-        "routing",
-        None
-        if inputs.routing is None
-        else _memo_digest(
-            inputs.routing, lambda: value_digest(list(inputs.routing.prefixes()))
-        ),
-    )
-    hasher.feed(
-        "geo",
-        None
-        if inputs.geo is None
-        else _memo_digest(inputs.geo, lambda: value_digest(inputs.geo.items())),
-    )
+    hasher.feed("routing", context["routing"])
+    hasher.feed("geo", context["geo"])
     digest = hasher.hexdigest()
     try:
         # The bundle is a frozen dataclass; memoizing via its __dict__

@@ -24,9 +24,10 @@
 
     repro-hunt segments {write,inspect,verify}
         Lay a study (or an ``--scale N`` synthetic world) out as a
-        checksummed ``repro-segment/1`` bundle, print the verified
-        header summaries, or checksum a bundle (nonzero exit on
-        corruption).  See docs/performance.md.
+        checksummed ``repro-segment/2`` bundle, print the verified
+        header summaries, or checksum every byte of a bundle (nonzero
+        exit on corruption; a run verifies only the blobs it reads).
+        See docs/performance.md.
 
     repro-hunt epoch {apply,status,delta}
         Grow a segment bundle by epochs: ``apply DIR --delta FILE``
@@ -388,7 +389,19 @@ def _cmd_quickstart(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _segment_failure(error: Exception) -> int:
+    """Report an unusable segment bundle: exit 2, naming the error type.
+
+    A blob verifies on its first read, so a corrupt one fails a run
+    wherever the run first reaches it, at open or mid-stage alike.
+    """
+    print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
+    return 2
+
+
 def _cmd_hunt(args: argparse.Namespace) -> int:
+    from repro.segments import SegmentError, load_segment_inputs
+
     if bool(args.dir) == bool(args.segments):
         print(
             "error: pass exactly one of --dir (JSONL export) or "
@@ -398,14 +411,8 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         return 2
     try:
         if args.segments:
-            from repro.segments import SegmentError, load_segment_inputs
-
             logger.info("mapping segments from %s/ ...", args.segments)
-            try:
-                inputs = load_segment_inputs(args.segments)
-            except SegmentError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
+            inputs = load_segment_inputs(args.segments)
             pipeline = HijackPipeline(inputs, faults=_fault_plan(args))
         else:
             directory = Path(args.dir)
@@ -413,6 +420,8 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
             pipeline = HijackPipeline.from_directory(
                 directory, faults=_fault_plan(args)
             )
+    except SegmentError as error:
+        return _segment_failure(error)
     except FileNotFoundError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -423,6 +432,8 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
             _make_backend(args), cache=_make_cache(args),
             events=events, ledger=_make_ledger(args),
         )
+    except SegmentError as error:
+        return _segment_failure(error)
     finally:
         _close_events(events)
     _print_data_quality(metrics)
@@ -816,7 +827,9 @@ def _cmd_epoch(args: argparse.Namespace) -> int:
             prior = read_delta(directory / "deltas" / record["file"])
             inputs = merge_inputs(inputs, prior)
         delta = read_delta(args.delta)
-    except (SegmentError, ValueError, FileNotFoundError) as error:
+    except SegmentError as error:
+        return _segment_failure(error)
+    except (ValueError, FileNotFoundError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
@@ -831,6 +844,8 @@ def _cmd_epoch(args: argparse.Namespace) -> int:
             events=events, ledger=_make_ledger(args),
             label=f"epoch-{delta.epoch}",
         )
+    except SegmentError as error:
+        return _segment_failure(error)
     finally:
         _close_events(events)
 

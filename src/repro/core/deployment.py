@@ -9,7 +9,7 @@ deployments, so a provider that disappears for months and returns reads
 as two events rather than one continuous deployment.
 
 Maps are built by one columnar kernel in two halves:
-:func:`encode_domain_maps_at` clusters a domain's deployments directly
+:func:`domain_map_encoder` clusters a domain's deployments directly
 over the dataset's :class:`~repro.scan.table.ScanTable` column slices —
 each period is a bisect-found contiguous CSR slice, cells aggregate
 interned integer ids, and the result is a compact int-tuple *encoded*
@@ -22,9 +22,11 @@ compare the kernel against lives in ``tests/reference.py``.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
+from typing import Callable
 
 from repro.net.timeline import DateInterval, Period
 from repro.scan.dataset import ScanDataset
@@ -198,20 +200,20 @@ def encode_domain_maps(
     periods: tuple[Period, ...],
     max_gap_scans: int = 6,
 ) -> EncodedDomainMaps:
-    """:func:`encode_domain_maps_at` by domain name (one index lookup)."""
+    """One domain's encoded maps by name (one index lookup)."""
     index = dataset.table.domain_index(domain)
     if index is None:
         return []
-    return encode_domain_maps_at(dataset, index, periods, max_gap_scans)
+    return domain_map_encoder(dataset, periods, max_gap_scans)(index)
 
 
-def encode_domain_maps_at(
+def domain_map_encoder(
     dataset: ScanDataset,
-    index: int,
     periods: tuple[Period, ...],
     max_gap_scans: int = 6,
-) -> EncodedDomainMaps:
-    """Cluster one domain's deployments straight off the column slices.
+) -> Callable[[int], EncodedDomainMaps]:
+    """The kernel clustering a domain's deployments off the column
+    slices, as a function of the domain's ordinal.
 
     Works entirely in interned-id space: the period is a bisect slice of
     the domain's CSR rows, cells aggregate integer ids, and clustering
@@ -226,7 +228,13 @@ def encode_domain_maps_at(
 
     The domain is named by its ordinal into ``table.domains`` — the CSR
     row index — so a shard worker sweeping an ordinal range never
-    resolves a domain string at all.
+    resolves a domain string at all.  The table's columns and each
+    period's scan calendar are bound once per sweep, not once per
+    domain: at scale most domains have no rows in any period, so
+    per-domain set-up would be most of a shard's time, and on a
+    segment-backed table each attribute load costs about twice an
+    in-RAM table's (a class that resolves blobs through ``__getattr__``
+    gets none of CPython's attribute-load specialization).
     """
     table = dataset.table
     asn_id_col = table.asn_id
@@ -235,89 +243,105 @@ def encode_domain_maps_at(
     country_id_col = table.country_id
     asns = table.asns
     id_tuples = table.id_tuples
-
-    encoded: EncodedDomainMaps = []
+    csr_off = table.csr_off
+    csr_rows = table.csr_rows
+    csr_dates = table.csr_dates
+    windows = []
     for period in periods:
         dates_in_period = dataset.scan_dates_in(period)
-        if not dates_in_period:
-            continue
-        lo, hi = table.period_slice_at(index, period.start, period.end)
-        if lo == hi:
-            continue
-        rows = table.csr_rows[lo:hi].tolist()
-        ordinals = table.csr_dates[lo:hi].tolist()
-        index_of = {d.toordinal(): i for i, d in enumerate(dates_in_period)}
-        # by_asn keys appear in first-appearance order over the slice,
-        # and each ASN's (scan_index, content) cells are date-ordered by
-        # construction.
-        by_asn: dict[int, list[tuple[int, tuple]]] = {}
-        n = len(rows)
-        i = 0
-        while i < n:
-            ordinal = ordinals[i]
-            scan_index = index_of[ordinal]
-            run_cells: dict[int, tuple[set[int], set[int], set[int]]] = {}
-            while i < n and ordinals[i] == ordinal:
-                row = rows[i]
-                asn_id = asn_id_col[row]
-                cell = run_cells.get(asn_id)
-                if cell is None:
-                    cell = (set(), set(), set())
-                    run_cells[asn_id] = cell
-                cell[0].add(ip_id_col[row])
-                cell[1].add(cert_id_col[row])
-                cell[2].add(country_id_col[row])
-                i += 1
-            for asn_id, (ips, certs, ccs) in run_cells.items():
-                content = (
-                    _canonical_ids(ips, id_tuples),
-                    _canonical_ids(certs, id_tuples),
-                    _canonical_ids(ccs, id_tuples),
+        if dates_in_period:
+            windows.append(
+                (
+                    period.index,
+                    period.start.toordinal(),
+                    period.end.toordinal(),
+                    {d.toordinal(): i for i, d in enumerate(dates_in_period)},
                 )
-                content = id_tuples.setdefault(content, content)
-                bucket = by_asn.get(asn_id)
-                if bucket is None:
-                    by_asn[asn_id] = [(scan_index, content)]
-                else:
-                    bucket.append((scan_index, content))
-
-        # Longitudinal clustering on scan-calendar indices (split an
-        # ASN's date-ordered cells on gaps > max_gap_scans), collapsing
-        # consecutive same-content cells into runs as we go.
-        deployments: list[tuple[int, int, int, tuple[EncodedRun, ...]]] = []
-        for asn_id, cells in by_asn.items():
-            asn = asns[asn_id]
-            first_index, current = cells[0]
-            runs: list[EncodedRun] = []
-            indices = [first_index]
-            previous_index = first_index
-            for scan_index, content in cells[1:]:
-                if scan_index - previous_index > max_gap_scans:
-                    runs.append((tuple(indices),) + current)
-                    deployments.append((first_index, asn, asn_id, tuple(runs)))
-                    runs = []
-                    indices = [scan_index]
-                    current = content
-                    first_index = scan_index
-                elif content is current:
-                    indices.append(scan_index)
-                else:
-                    runs.append((tuple(indices),) + current)
-                    indices = [scan_index]
-                    current = content
-                previous_index = scan_index
-            runs.append((tuple(indices),) + current)
-            deployments.append((first_index, asn, asn_id, tuple(runs)))
-        # Deployments order by (first_seen, asn *value*); scan indices
-        # are monotone in scan date, so they stand in for first_seen.
-        deployments.sort(key=lambda d: (d[0], d[1]))
-        encoded.append(
-            (
-                period.index,
-                tuple((asn_id, runs) for _, _, asn_id, runs in deployments),
             )
-        )
-    return encoded
+
+    def encode(index: int) -> EncodedDomainMaps:
+        encoded: EncodedDomainMaps = []
+        first, last = csr_off[index], csr_off[index + 1]
+        for period_index, start, end, index_of in windows:
+            lo = bisect_left(csr_dates, start, first, last)
+            hi = bisect_right(csr_dates, end, first, last)
+            if lo == hi:
+                continue
+            rows = csr_rows[lo:hi].tolist()
+            ordinals = csr_dates[lo:hi].tolist()
+            # by_asn keys appear in first-appearance order over the slice,
+            # and each ASN's (scan_index, content) cells are date-ordered by
+            # construction.
+            by_asn: dict[int, list[tuple[int, tuple]]] = {}
+            n = len(rows)
+            i = 0
+            while i < n:
+                ordinal = ordinals[i]
+                scan_index = index_of[ordinal]
+                run_cells: dict[int, tuple[set[int], set[int], set[int]]] = {}
+                while i < n and ordinals[i] == ordinal:
+                    row = rows[i]
+                    asn_id = asn_id_col[row]
+                    cell = run_cells.get(asn_id)
+                    if cell is None:
+                        cell = (set(), set(), set())
+                        run_cells[asn_id] = cell
+                    cell[0].add(ip_id_col[row])
+                    cell[1].add(cert_id_col[row])
+                    cell[2].add(country_id_col[row])
+                    i += 1
+                for asn_id, (ips, certs, ccs) in run_cells.items():
+                    content = (
+                        _canonical_ids(ips, id_tuples),
+                        _canonical_ids(certs, id_tuples),
+                        _canonical_ids(ccs, id_tuples),
+                    )
+                    content = id_tuples.setdefault(content, content)
+                    bucket = by_asn.get(asn_id)
+                    if bucket is None:
+                        by_asn[asn_id] = [(scan_index, content)]
+                    else:
+                        bucket.append((scan_index, content))
+
+            # Longitudinal clustering on scan-calendar indices (split an
+            # ASN's date-ordered cells on gaps > max_gap_scans), collapsing
+            # consecutive same-content cells into runs as we go.
+            deployments: list[tuple[int, int, int, tuple[EncodedRun, ...]]] = []
+            for asn_id, cells in by_asn.items():
+                asn = asns[asn_id]
+                first_index, current = cells[0]
+                runs: list[EncodedRun] = []
+                indices = [first_index]
+                previous_index = first_index
+                for scan_index, content in cells[1:]:
+                    if scan_index - previous_index > max_gap_scans:
+                        runs.append((tuple(indices),) + current)
+                        deployments.append((first_index, asn, asn_id, tuple(runs)))
+                        runs = []
+                        indices = [scan_index]
+                        current = content
+                        first_index = scan_index
+                    elif content is current:
+                        indices.append(scan_index)
+                    else:
+                        runs.append((tuple(indices),) + current)
+                        indices = [scan_index]
+                        current = content
+                    previous_index = scan_index
+                runs.append((tuple(indices),) + current)
+                deployments.append((first_index, asn, asn_id, tuple(runs)))
+            # Deployments order by (first_seen, asn *value*); scan indices
+            # are monotone in scan date, so they stand in for first_seen.
+            deployments.sort(key=lambda d: (d[0], d[1]))
+            encoded.append(
+                (
+                    period_index,
+                    tuple((asn_id, runs) for _, _, asn_id, runs in deployments),
+                )
+            )
+        return encoded
+
+    return encode
 
 
 def decode_domain_maps(

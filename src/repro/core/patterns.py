@@ -20,7 +20,7 @@ from repro.core.deployment import (
     DeploymentMap,
     EncodedDomainMaps,
     decode_domain_maps,
-    encode_domain_maps_at,
+    domain_map_encoder,
 )
 from repro.core.types import PatternKind, SubPattern
 from repro.net.timeline import TRANSIENT_MAX_DAYS, Period
@@ -319,9 +319,10 @@ def classify_dataset(
     visibility has no map and so no classification.
     """
     date_ords = scan_date_ordinals(dataset, periods)
+    encode = domain_map_encoder(dataset, periods)
     classifications: dict[tuple[str, int], Classification] = {}
     for index, domain in enumerate(dataset.domains()):
-        encoded = encode_domain_maps_at(dataset, index, periods)
+        encoded = encode(index)
         maps = decode_domain_maps(domain, encoded, dataset, periods)
         for (key, map_), (_, enc_classification) in zip(
             maps, classify_domain_encoded(encoded, date_ords, config)

@@ -13,9 +13,11 @@ On disk a delta reuses the segment container
 number, label, row counts, and any scan-calendar additions; the three
 evidence channels travel as pickle blobs (deltas are small by
 definition — the point of the epoch engine is that the *delta* is the
-unit of work, so a columnar layout would buy nothing here).  The
-container's trailing checksum makes truncation and corruption a load
-error rather than a silently short epoch.
+unit of work, so a columnar layout would buy nothing here).
+:func:`read_delta` unpickles every blob, so the container's checksums
+make truncation and corruption a load error rather than a silently
+short epoch.  A delta written in the older ``repro-segment/1``
+container is refused and must be rewritten.
 """
 
 from __future__ import annotations

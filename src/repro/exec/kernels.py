@@ -124,7 +124,7 @@ def _deployment_kernel(ordinals: range) -> list:
     index pages, not the domain pool, for the (overwhelming) majority
     of domains whose encoding comes back empty.  Results are the compact
     int-tuple encoding (interned pool ids, not object graphs; see
-    ``encode_domain_maps_at``), which the deployment stage decodes
+    ``domain_map_encoder``), which the deployment stage decodes
     against the parent's table.
 
     Domains with no in-period deployments encode as ``()``, not ``[]``:
@@ -132,15 +132,10 @@ def _deployment_kernel(ordinals: range) -> list:
     so at population scale the parent's dense result list costs one
     pointer per empty domain instead of a distinct empty-list object.
     """
-    from repro.core.deployment import encode_domain_maps_at
+    from repro.core.deployment import domain_map_encoder
 
-    return [
-        encode_domain_maps_at(
-            _INPUTS.scan, index, _INPUTS.periods, _CONFIG.max_gap_scans
-        )
-        or ()
-        for index in ordinals
-    ]
+    encode = domain_map_encoder(_INPUTS.scan, _INPUTS.periods, _CONFIG.max_gap_scans)
+    return [encode(index) or () for index in ordinals]
 
 
 @kernel("classify")

@@ -1,19 +1,32 @@
-"""The ``repro-segment/1`` container: checksummed, mmap-reopenable blobs.
+"""The ``repro-segment/2`` container: mmap-reopenable blobs, each checksummed.
 
 One segment file holds named binary blobs — typed-array columns, flat
 pool payloads, small pickles — behind a JSON header::
 
-    b"repro-segment/1\\n"          magic
+    b"repro-segment/2\\n"          magic
     8-byte big-endian length       of the JSON header
-    header JSON                    {"table", "blobs": [...], "meta": {...}}
-    payload                        blob bytes, 8-byte aligned
-    16-byte blake2b digest         over every preceding byte
+    header JSON                    {"table", "blobs": [...], "meta",
+                                    "payload_bytes"}; each blob spec
+                                   carries its SHA-256
+    32-byte SHA-256                over every preceding byte
+    payload                        blob bytes, 8-byte aligned, zero padded
 
-The trailing checksum makes truncation and bit flips a *typed* failure
-(:class:`SegmentChecksumError`), never garbage rows: :func:`Segment.open`
-verifies the whole file with bounded streamed reads before mapping it —
-streaming rather than hashing through the map keeps verification from
-faulting every page into the opener's resident set.  Writes land via
+The checksums make truncation and bit flips a *typed* failure
+(:class:`SegmentChecksumError`), never garbage rows, and they are
+checked where the bytes are used:
+
+* :meth:`Segment.open` checks the header digest and that the file is
+  exactly as long as the header says: O(header), whatever the payload;
+* :meth:`Segment.blob` verifies a blob the first time that segment hands
+  it out, and remembers it (a forked worker inherits what its parent
+  already checked), so a run verifies only what it reads;
+* :func:`verify_segment` checks every byte: header, each blob, the zero
+  padding and the length.
+
+Blobs verify with bounded ``os.pread`` calls on the descriptor the map
+was made from: hashing through the map would fault every page into the
+reader's resident set, and reopening the path could hash a file that
+replaced the mapped one.  Writes land via
 :func:`repro.atomic.atomic_write`, like the stage cache's, so a crashed
 writer leaves no half-segment behind.
 """
@@ -22,18 +35,22 @@ from __future__ import annotations
 
 import json
 import mmap
+import os
 import pickle
 from array import array
-from hashlib import blake2b
+from hashlib import sha256
 from pathlib import Path
 from typing import Any, Iterator
 
 from repro.atomic import atomic_write
 
-MAGIC = b"repro-segment/1\n"
+MAGIC = b"repro-segment/2\n"
+#: The previous container (one whole-file checksum); refused, not read.
+_MAGIC_V1 = b"repro-segment/1\n"
 
-_CHECKSUM_BYTES = 16
+_DIGEST_BYTES = 32
 _LENGTH_BYTES = 8
+_PREFIX_BYTES = len(MAGIC) + _LENGTH_BYTES
 _ALIGN = 8
 _VERIFY_CHUNK = 1 << 20
 
@@ -91,104 +108,160 @@ class SegmentWriter:
                     "typecode": typecode,
                     "offset": offset,
                     "length": len(data),
+                    "sha256": sha256(data).hexdigest(),
                 }
             )
             offset += len(data) + _pad(len(data))
         header = json.dumps(
-            {"table": self.table, "blobs": specs, "meta": self.meta},
+            {
+                "table": self.table,
+                "blobs": specs,
+                "meta": self.meta,
+                "payload_bytes": offset,
+            },
             sort_keys=True,
         ).encode("utf-8")
+        head = MAGIC + len(header).to_bytes(_LENGTH_BYTES, "big") + header
+        head += sha256(head).digest()
         path.parent.mkdir(parents=True, exist_ok=True)
-        digest = blake2b(digest_size=_CHECKSUM_BYTES)
         with atomic_write(path) as handle:
-
-            def emit(chunk: bytes) -> None:
-                digest.update(chunk)
-                handle.write(chunk)
-
-            emit(MAGIC)
-            emit(len(header).to_bytes(_LENGTH_BYTES, "big"))
-            emit(header)
             # Align the payload start (the reader assumes it).
-            emit(b"\0" * _pad(len(MAGIC) + _LENGTH_BYTES + len(header)))
+            handle.write(head + b"\0" * _pad(len(head)))
             for _, _, _, data in self._blobs:
-                emit(data)
-                emit(b"\0" * _pad(len(data)))
-            handle.write(digest.digest())
+                handle.write(data)
+                handle.write(b"\0" * _pad(len(data)))
         return path
 
 
-def _verify_stream(path: Path) -> None:
-    """Checksum the file with bounded reads; raise on any mismatch."""
-    digest = blake2b(digest_size=_CHECKSUM_BYTES)
+def _pread(fd: int, size: int, offset: int, path: Path) -> bytes:
     try:
-        size = path.stat().st_size
-        with path.open("rb") as handle:
-            if size < len(MAGIC) + _LENGTH_BYTES + _CHECKSUM_BYTES:
-                raise SegmentChecksumError(f"{path}: truncated segment ({size} bytes)")
-            remaining = size - _CHECKSUM_BYTES
-            while remaining:
-                chunk = handle.read(min(_VERIFY_CHUNK, remaining))
-                if not chunk:
-                    raise SegmentChecksumError(f"{path}: short read during verify")
-                digest.update(chunk)
-                remaining -= len(chunk)
-            stored = handle.read(_CHECKSUM_BYTES)
+        data = os.pread(fd, size, offset)
     except OSError as error:
         raise SegmentError(f"{path}: unreadable segment: {error}") from error
-    if stored != digest.digest():
-        raise SegmentChecksumError(f"{path}: segment checksum mismatch")
+    if len(data) != size:
+        raise SegmentChecksumError(f"{path}: short read at offset {offset}")
+    return data
 
 
-def _parse_header(view: memoryview, path: Path) -> tuple[dict[str, Any], int]:
-    if bytes(view[: len(MAGIC)]) != MAGIC:
+def _read_header(fd: int, path: Path) -> tuple[dict[str, Any], int]:
+    """Check the header digest and the file length; returns the parsed
+    header and the offset just past the header digest.
+
+    The digest covers the magic and the length field too, and is checked
+    before either is trusted, so a flip anywhere in the header is a
+    checksum error rather than a misparse.
+    """
+    size = os.fstat(fd).st_size
+    if size < _PREFIX_BYTES + _DIGEST_BYTES:
+        raise SegmentChecksumError(f"{path}: truncated segment ({size} bytes)")
+    prefix = _pread(fd, _PREFIX_BYTES, 0, path)
+    if prefix[: len(_MAGIC_V1)] == _MAGIC_V1:
+        raise SegmentError(
+            f"{path}: a repro-segment/1 file, which this version no longer "
+            "reads; rewrite it ('repro-hunt segments write' for a bundle, "
+            "'repro-hunt epoch delta' for a delta)"
+        )
+    header_end = _PREFIX_BYTES + int.from_bytes(prefix[len(MAGIC) :], "big")
+    if header_end + _DIGEST_BYTES > size:
+        raise SegmentChecksumError(f"{path}: truncated segment (header overruns)")
+    head = prefix + _pread(fd, header_end - _PREFIX_BYTES, _PREFIX_BYTES, path)
+    if _pread(fd, _DIGEST_BYTES, header_end, path) != sha256(head).digest():
+        raise SegmentChecksumError(f"{path}: header checksum mismatch")
+    if prefix[: len(MAGIC)] != MAGIC:
         raise SegmentError(f"{path}: not a repro segment (bad magic)")
-    length_at = len(MAGIC)
-    data_at = length_at + _LENGTH_BYTES
-    header_len = int.from_bytes(bytes(view[length_at:data_at]), "big")
-    header_end = data_at + header_len
-    if header_end + _CHECKSUM_BYTES > len(view):
-        raise SegmentError(f"{path}: header overruns the file")
     try:
-        header = json.loads(bytes(view[data_at:header_end]))
+        header = json.loads(head[_PREFIX_BYTES:])
     except ValueError as error:
         raise SegmentError(f"{path}: undecodable header: {error}") from error
-    if not isinstance(header, dict) or "blobs" not in header:
+    if not isinstance(header, dict) or not {"blobs", "payload_bytes"} <= header.keys():
         raise SegmentError(f"{path}: malformed header")
-    return header, header_end
+    for spec in header["blobs"]:
+        if spec["offset"] + spec["length"] > header["payload_bytes"]:
+            raise SegmentError(f"{path}: blob {spec['name']!r} overruns the file")
+    head_end = header_end + _DIGEST_BYTES
+    expected = head_end + _pad(head_end) + header["payload_bytes"]
+    if size != expected:
+        raise SegmentChecksumError(
+            f"{path}: segment is {size} bytes, its header says {expected}"
+        )
+    return header, head_end
 
 
 class Segment:
-    """One verified, memory-mapped segment file."""
+    """One memory-mapped segment file whose blobs verify on first read."""
 
-    def __init__(self, path: Path, header: dict[str, Any], mapped: mmap.mmap) -> None:
+    def __init__(
+        self, path: Path, header: dict[str, Any], head_end: int, handle, mapped
+    ) -> None:
         self.path = path
         self.table: str = header.get("table", "")
         self.meta: dict[str, Any] = header.get("meta", {})
+        self._handle = handle
         self._mmap = mapped
         self._view = memoryview(mapped)
+        self._head_end = head_end
         self._specs: dict[str, dict[str, Any]] = {}
-        data_start = header["_data_start"]
+        self._verified: set[str] = set()
+        data_start = head_end + _pad(head_end)
         for spec in header["blobs"]:
             spec = dict(spec)
-            spec["offset"] = data_start + int(spec["offset"])
+            spec["offset"] += data_start
             self._specs[spec["name"]] = spec
 
     @classmethod
     def open(cls, path: str | Path) -> "Segment":
+        """Map a segment after checking its header and length (not its
+        blobs: each verifies on its first :meth:`blob`)."""
         path = Path(path)
-        _verify_stream(path)
-        with path.open("rb") as handle:
-            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
         try:
-            view = memoryview(mapped)
-            header, header_end = _parse_header(view, path)
-            view.release()
-            header["_data_start"] = header_end + _pad(header_end)
-            return cls(path, header, mapped)
+            handle = open(path, "rb", buffering=0)
+        except OSError as error:
+            raise SegmentError(f"{path}: unreadable segment: {error}") from error
+        try:
+            header, head_end = _read_header(handle.fileno(), path)
+            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
         except BaseException:
-            mapped.close()
+            handle.close()
             raise
+        return cls(path, header, head_end, handle, mapped)
+
+    # -- verification ----------------------------------------------------------
+
+    def _chunks(self, lo: int, hi: int) -> Iterator[bytes]:
+        """``[lo, hi)`` of the file, in bounded reads off the descriptor."""
+        fd = self._handle.fileno()
+        while lo < hi:
+            chunk = _pread(fd, min(_VERIFY_CHUNK, hi - lo), lo, self.path)
+            yield chunk
+            lo += len(chunk)
+
+    def _verify(self, spec: dict[str, Any]) -> None:
+        name = spec["name"]
+        if name in self._verified:
+            return
+        digest = sha256()
+        for chunk in self._chunks(spec["offset"], spec["offset"] + spec["length"]):
+            digest.update(chunk)
+        if digest.hexdigest() != spec.get("sha256"):
+            raise SegmentChecksumError(f"{self.path}: blob {name!r} checksum mismatch")
+        self._verified.add(name)
+
+    def _check_padding(self, lo: int, hi: int) -> None:
+        for chunk in self._chunks(lo, hi):
+            if chunk.count(0) != len(chunk):
+                raise SegmentChecksumError(f"{self.path}: nonzero padding in [{lo}, {hi})")
+
+    def verify(self) -> None:
+        """Check every byte past the header: each blob and the zero
+        padding around it."""
+        cursor = self._head_end
+        for spec in sorted(self._specs.values(), key=lambda s: s["offset"]):
+            if spec["offset"] < cursor:
+                raise SegmentError(f"{self.path}: blob {spec['name']!r} overlaps")
+            self._check_padding(cursor, spec["offset"])
+            self._verify(spec)
+            cursor = spec["offset"] + spec["length"]
+        self._check_padding(cursor, len(self._view))
 
     # -- blob accessors --------------------------------------------------------
 
@@ -199,12 +272,11 @@ class Segment:
         return spec
 
     def blob(self, name: str) -> memoryview:
+        """The named blob as a view over the mapping, verified first."""
         spec = self._spec(name)
+        self._verify(spec)
         lo = spec["offset"]
-        hi = lo + spec["length"]
-        if hi > len(self._view):
-            raise SegmentError(f"{self.path}: blob {name!r} overruns the file")
-        return self._view[lo:hi]
+        return self._view[lo : lo + spec["length"]]
 
     def array(self, name: str):
         """The named column as a zero-copy typed view over the mapping."""
@@ -235,29 +307,31 @@ class Segment:
     def close(self) -> None:
         self._view.release()
         self._mmap.close()
+        self._handle.close()
 
 
 def verify_segment(path: str | Path) -> dict[str, Any]:
     """Verify one segment end to end; returns its header summary.
 
-    Raises :class:`SegmentChecksumError` on corruption and
-    :class:`SegmentError` on structural problems — never returns rows
-    from a bad file.
+    Streams the file blob by blob.  Raises :class:`SegmentChecksumError`
+    on corruption and :class:`SegmentError` on structural problems —
+    never returns rows from a bad file.
     """
-    path = Path(path)
-    _verify_stream(path)
-    blob = path.read_bytes()
-    header, _ = _parse_header(memoryview(blob), path)
-    return {
-        "path": str(path),
-        "table": header.get("table", ""),
-        "bytes": len(blob),
-        "blobs": [
-            {k: spec[k] for k in ("name", "kind", "typecode", "length")}
-            for spec in header["blobs"]
-        ],
-        "meta": header.get("meta", {}),
-    }
+    segment = Segment.open(path)
+    try:
+        segment.verify()
+        return {
+            "path": str(segment.path),
+            "table": segment.table,
+            "bytes": segment.bytes_mapped,
+            "blobs": [
+                {k: spec[k] for k in ("name", "kind", "typecode", "length")}
+                for spec in segment._specs.values()
+            ],
+            "meta": segment.meta,
+        }
+    finally:
+        segment.close()
 
 
 __all__ = [

@@ -1,15 +1,15 @@
 """Whole-input-bundle segment directories.
 
 ``write_segments`` lays a :class:`~repro.core.pipeline.PipelineInputs`
-bundle into one directory of ``repro-segment/1`` files::
+bundle into one directory of ``repro-segment/2`` files::
 
     scan.seg    the annotated scan table + its calendar
     pdns.seg    the aggregated passive-DNS table
     ct.seg      the published CT entry table
-    aux.seg     everything small: AS2Org, periods, routing, geo,
-                the CT service envelope, and the raw CT logs
-                (loaded lazily, only for publication-delay
-                derivation and the epoch merge)
+    aux.seg     everything small: AS2Org, periods, routing, geo and
+                their content digests, the CT service envelope, and
+                the raw CT logs (loaded lazily, only for
+                publication-delay derivation and the epoch merge)
 
 ``load_segment_inputs`` reopens the directory as a bundle whose three
 evidence channels are mmap-backed: the scan dataset wraps a
@@ -17,11 +17,13 @@ evidence channels are mmap-backed: the scan dataset wraps a
 :class:`~repro.segments.tables.SegmentPdnsTable` (its aggregate dict
 hydrates only if a derivation needs it), and crt.sh a :class:`SegmentCrtShService`
 that answers every query from the mapped table without touching the
-pickled logs.  Each table segment's header stores its content-digest
-blocks, so the first cache probe over a reopened bundle hashes nothing;
-a segment-backed bundle and its in-RAM twin produce the same
-``inputs_digest``, so they share cache entries and golden reports byte
-for byte.
+pickled logs.  Opening checks each file's header and verifies only the
+small pickles it loads; every other blob verifies on its first read.
+Each table segment's header stores its content-digest blocks and
+``aux.seg``'s the context datasets' digests, so the first cache probe
+over a reopened bundle hashes nothing; a segment-backed bundle and its
+in-RAM twin produce the same ``inputs_digest``, so they share cache
+entries and golden reports byte for byte.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ if TYPE_CHECKING:
 
 #: Segment file names inside one bundle directory.
 _FILES = {"scan": "scan.seg", "pdns": "pdns.seg", "ct": "ct.seg", "aux": "aux.seg"}
+
+#: ``aux.seg`` header key of the context datasets' content digests.
+_CONTEXT_KEY = "context_digests"
 
 
 def segment_paths(directory: str | Path) -> dict[str, Path]:
@@ -114,6 +119,8 @@ class SegmentCrtShService(CrtShService):
 
 def write_segments(inputs: PipelineInputs, directory: str | Path) -> dict[str, Path]:
     """Write one input bundle as a segment directory; returns the paths."""
+    from repro.cache.fingerprint import context_digests, without_digest
+
     paths = segment_paths(directory)
     scan = inputs.scan
     write_scan_table(
@@ -125,14 +132,14 @@ def write_segments(inputs: PipelineInputs, directory: str | Path) -> dict[str, P
     write_pdns_table(inputs.pdns.table, paths["pdns"])
     crtsh = inputs.crtsh
     write_ct_table(crtsh.table, paths["ct"])
-    aux = SegmentWriter("aux")
+    aux = SegmentWriter("aux", meta={_CONTEXT_KEY: context_digests(inputs)})
     aux.add_pickle(
         "context",
         {
-            "as2org": inputs.as2org,
+            "as2org": without_digest(inputs.as2org),
             "periods": tuple(inputs.periods),
-            "routing": inputs.routing,
-            "geo": inputs.geo,
+            "routing": without_digest(inputs.routing),
+            "geo": without_digest(inputs.geo),
         },
     )
     aux.add_pickle(
@@ -151,6 +158,7 @@ def write_segments(inputs: PipelineInputs, directory: str | Path) -> dict[str, P
 
 def load_segment_inputs(directory: str | Path) -> PipelineInputs:
     """Reopen a segment directory as a pipeline input bundle."""
+    from repro.cache.fingerprint import seed_digest
     from repro.core.pipeline import PipelineInputs
 
     directory = Path(directory)
@@ -170,6 +178,9 @@ def load_segment_inputs(directory: str | Path) -> PipelineInputs:
     pdns = PassiveDNSDatabase.from_table(open_pdns_table(paths["pdns"]))
     crtsh = SegmentCrtShService(directory)
     context = crtsh._aux.pickle("context")
+    for name, digest in crtsh._aux.meta.get(_CONTEXT_KEY, {}).items():
+        if digest is not None:
+            seed_digest(context[name], digest)
     return PipelineInputs(
         scan=scan,
         pdns=pdns,

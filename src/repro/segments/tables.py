@@ -1,11 +1,17 @@
 """Segment writers and mmap-backed openers for the three evidence tables.
 
 Each writer lays an indexed table's typed-array columns and prebuilt CSR
-indexes into one ``repro-segment/1`` file; each opener returns a table
+indexes into one ``repro-segment/2`` file; each opener returns a table
 *subclass* whose columns are zero-copy views over the mapping.  The
 openers change storage, never semantics: interned ids, CSR slices, and
 every query kernel match the in-RAM build byte for byte (the
 differential property suite pins this).
+
+Opening a table views no column: each blob-backed attribute resolves on
+first access, and the segment verifies a blob's checksum the first time
+it hands it out, so a warm hunt verifies the few pools it decodes, an
+epoch merge the blobs it copies, and a pool worker the columns its
+kernel reads.
 
 Pool strategy differs per table by population size:
 
@@ -18,7 +24,7 @@ Pool strategy differs per table by population size:
   the ones that are), so an epoch overlay finds a value's id by
   bisection instead of decoding the pool.
 * **pdns / ct** — orders of magnitude smaller (shortlist-scale).  Their
-  pools travel as one pickle blob and materialize eagerly, keeping the
+  pools travel as one pickle blob and load with the table, keeping the
   service layers (:class:`~repro.pdns.database.PassiveDNSDatabase`,
   :class:`~repro.ct.crtsh.CrtShService`) oblivious to the backing.
 
@@ -31,7 +37,7 @@ from __future__ import annotations
 
 from datetime import date
 from pathlib import Path
-from typing import Iterable
+from typing import Any, Callable, Iterable
 
 from repro.ct.table import CtTable
 from repro.pdns.table import PdnsTable
@@ -177,38 +183,77 @@ def write_scan_table(
     return writer.write(path)
 
 
-class SegmentScanTable(ScanTable):
+class _SegmentTable:
+    """What the segment-backed tables share: opening views no blob.
+
+    Each blob-backed attribute named in the class's ``_LAZY`` resolves
+    on first access (:meth:`__getattr__`) and is an ordinary attribute
+    from then on, so a reader views, and the segment verifies, only the
+    blobs it touches.  Pickles as its path: a pool worker reopens the
+    map instead of receiving a copy.
+    """
+
+    _TABLE = ""
+    _LAZY: dict[str, Callable[[Any], Any]] = {}
+
+    def __init__(self, segment: Segment) -> None:
+        _expect_table(segment, self._TABLE)
+        super().__init__()
+        # The in-RAM table's empty defaults would shadow __getattr__.
+        for name in self._LAZY:
+            self.__dict__.pop(name, None)
+        self.segment = segment
+        _seed_blocks(self, segment)
+
+    def __getattr__(self, name: str) -> Any:
+        resolve = type(self)._LAZY.get(name)
+        if resolve is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        value = resolve(self)
+        setattr(self, name, value)
+        return value
+
+    @classmethod
+    def open(cls, path: str | Path):
+        return cls(Segment.open(path))
+
+    def __reduce__(self):
+        return (type(self).open, (str(self.segment.path),))
+
+
+def _columns(names: Iterable[str]) -> dict[str, Callable[[Any], Any]]:
+    return {name: (lambda table, name=name: table.segment.array(name)) for name in names}
+
+
+class SegmentScanTable(_SegmentTable, ScanTable):
     """A :class:`ScanTable` whose columns live in one mapped segment.
 
     Pools are lazy views; the domain index is a bisect over the sorted
     on-disk domain pool, and :meth:`pool_index` bisects through each
-    pool's stored order.  Pickles as its path (workers reopen the map).
+    pool's stored order.
     """
 
-    def __init__(self, segment: Segment) -> None:
-        super().__init__()
-        _expect_table(segment, "scan")
-        self.segment = segment
-        for name in _SCAN_ARRAYS:
-            setattr(self, name, segment.array(name))
-        for name, kind in _SCAN_POOLS:
-            setattr(self, name, read_pool(segment, name, kind))
-        self.certs = segment.pickle("certs")
-        self._dom_index = SortedPoolIndex(self.domains)
-        self._rec_cache = [None] * len(self.date_ord)
-        _seed_blocks(self, segment)
+    _TABLE = "scan"
+    _LAZY = {
+        **_columns(_SCAN_ARRAYS),
+        **{
+            name: (lambda table, name=name, kind=kind: read_pool(table.segment, name, kind))
+            for name, kind in _SCAN_POOLS
+        },
+        "certs": lambda table: table.segment.pickle("certs"),
+        "_dom_index": lambda table: SortedPoolIndex(table.domains),
+        "_rec_cache": lambda table: [None] * table.segment.meta["n_rows"],
+    }
 
     def _pool_order(self, name: str):
         if name in self.segment.meta.get("sorted_pools", ()):
             return None
         return self.segment.array(f"{name}.ord")
 
-    def __reduce__(self):
-        return (open_scan_table, (str(self.segment.path),))
 
-
-def open_scan_table(path: str | Path) -> SegmentScanTable:
-    return SegmentScanTable(Segment.open(path))
+open_scan_table = SegmentScanTable.open
 
 
 # -- pdns ----------------------------------------------------------------------
@@ -231,15 +276,15 @@ def write_pdns_table(table: PdnsTable, path: str | Path) -> Path:
     return writer.write(path)
 
 
-class SegmentPdnsTable(PdnsTable):
-    """A :class:`PdnsTable` whose columns live in one mapped segment."""
+class SegmentPdnsTable(_SegmentTable, PdnsTable):
+    """A :class:`PdnsTable` whose columns live in one mapped segment; its
+    small pools load with it."""
+
+    _TABLE = "pdns"
+    _LAZY = _columns(_PDNS_ARRAYS)
 
     def __init__(self, segment: Segment) -> None:
-        super().__init__()
-        _expect_table(segment, "pdns")
-        self.segment = segment
-        for name in _PDNS_ARRAYS:
-            setattr(self, name, segment.array(name))
+        super().__init__(segment)
         pools = segment.pickle("pools")
         self.rrnames = pools["rrnames"]
         self.rdatas = pools["rdatas"]
@@ -248,15 +293,10 @@ class SegmentPdnsTable(PdnsTable):
         self.irregular_rows = tuple(pools["irregular_rows"])
         self._name_index = {name: i for i, name in enumerate(self.names)}
         self._dom_index = {base: i for i, base in enumerate(self.domains)}
-        self._rec_cache = [None] * len(self.first_ord)
-        _seed_blocks(self, segment)
-
-    def __reduce__(self):
-        return (open_pdns_table, (str(self.segment.path),))
+        self._rec_cache = [None] * segment.meta["n_rows"]
 
 
-def open_pdns_table(path: str | Path) -> SegmentPdnsTable:
-    return SegmentPdnsTable(Segment.open(path))
+open_pdns_table = SegmentPdnsTable.open
 
 
 # -- ct ------------------------------------------------------------------------
@@ -286,15 +326,15 @@ def write_ct_table(table: CtTable, path: str | Path) -> Path:
     return writer.write(path)
 
 
-class SegmentCtTable(CtTable):
-    """A :class:`CtTable` whose columns live in one mapped segment."""
+class SegmentCtTable(_SegmentTable, CtTable):
+    """A :class:`CtTable` whose columns live in one mapped segment; its
+    small pools load with it."""
+
+    _TABLE = "ct"
+    _LAZY = _columns(_CT_ARRAYS)
 
     def __init__(self, segment: Segment) -> None:
-        super().__init__()
-        _expect_table(segment, "ct")
-        self.segment = segment
-        for name in _CT_ARRAYS:
-            setattr(self, name, segment.array(name))
+        super().__init__(segment)
         pools = segment.pickle("pools")
         self.fps = pools["fps"]
         self.certs = pools["certs"]
@@ -303,14 +343,9 @@ class SegmentCtTable(CtTable):
         self.bases = tuple(pools["bases"])
         self.hidden_entries = int(segment.meta.get("hidden_entries", 0))
         self._base_index = {base: i for i, base in enumerate(self.bases)}
-        _seed_blocks(self, segment)
-
-    def __reduce__(self):
-        return (open_ct_table, (str(self.segment.path),))
 
 
-def open_ct_table(path: str | Path) -> SegmentCtTable:
-    return SegmentCtTable(Segment.open(path))
+open_ct_table = SegmentCtTable.open
 
 
 __all__ = [

@@ -351,3 +351,39 @@ class TestRunsAndMetrics:
         assert kinds[0] == "header"
         assert "run_start" in kinds and "run_finish" in kinds
         assert kinds.count("stage_start") == kinds.count("stage_finish") == 6
+
+
+class TestCorruptSegmentBundle:
+    """A segment blob verifies on its first read, so a flipped byte in
+    ``csr_rows`` passes the open and fails the run mid-stage.  Both the
+    hunt and an epoch apply report it like an error at open: one
+    ``error:`` line naming the error type, exit status 2."""
+
+    def test_mid_run_checksum_error_exits_2(self, tmp_path, capsys):
+        from repro.segments import Segment, load_segment_inputs
+
+        bundle = tmp_path / "bundle"
+        delta = tmp_path / "e1.delta"
+        world = ["--scale", "120", "--active", "24", "--seed", "0"]
+        assert main(["segments", "write", "--out", str(bundle), *world]) == 0
+        assert main(["epoch", "delta", "--out", str(delta), *world]) == 0
+        path = bundle / "scan.seg"
+        segment = Segment.open(path)
+        spec = segment.spec("csr_rows")
+        segment.close()
+        data = bytearray(path.read_bytes())
+        data[spec["offset"] + spec["length"] // 2] ^= 0xFF
+        path.write_bytes(bytes(data))
+        load_segment_inputs(bundle)  # the open itself succeeds
+        capsys.readouterr()
+
+        for argv in (
+            ["hunt", "--segments", str(bundle)],
+            ["hunt", "--segments", str(bundle), "--jobs", "2"],
+            ["epoch", "apply", str(bundle), "--delta", str(delta)],
+        ):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "error: SegmentChecksumError:" in err, argv
+            assert "csr_rows" in err and "Traceback" not in err, argv
+        assert not (bundle / "epochs.json").exists()

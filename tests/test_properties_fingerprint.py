@@ -14,7 +14,9 @@ table's per-row columns and value pools in blocks.  The properties:
   full digest, with blocks small enough that full base blocks are
   reused and partial ones re-hashed;
 * **the probe stays cheap** — deriving a run key over a freshly opened
-  bundle unpickles no CT logs and hydrates no pDNS aggregates.
+  bundle unpickles no CT logs, hydrates no pDNS aggregates and hashes
+  no context dataset (``aux.seg`` stores their digests), and the bytes
+  of a written bundle do not depend on whether its world was digested.
 """
 
 from __future__ import annotations
@@ -28,8 +30,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import fingerprint
-from repro.cache.fingerprint import block_digests, derive_run_key, inputs_digest
-from repro.core.pipeline import PipelineConfig
+from repro.cache.fingerprint import (
+    block_digests,
+    derive_run_key,
+    inputs_digest,
+    without_digest,
+)
+from repro.core.pipeline import PipelineConfig, PipelineInputs
 from repro.epochs import merge_inputs
 from repro.faults import FaultPlan
 from repro.scan.table import ScanTable
@@ -43,6 +50,8 @@ from repro.segments import (
 from repro.segments import tables
 from repro.segments.overlay import extend_scan_table
 from repro.world.scale import make_delta, scale_world
+from repro.world.scenarios import small_world
+from repro.world.sim import run_study
 
 from tests.helpers import make_cert, scan_dates
 
@@ -207,9 +216,10 @@ class TestEveryCellCounts:
 
 
 def test_a_bundle_without_header_blocks_digests_from_its_columns(tmp_path):
-    """A bundle written before the byte digest carries row-scheme
-    ``block_digests`` and no ``content_blocks``: nothing seeds the memo,
-    and its first probe hashes the mapped columns to the same digest."""
+    """A bundle whose headers carry no ``content_blocks`` (here, the
+    row-scheme ``block_digests`` of an older writer): nothing seeds the
+    memo, and its first probe hashes the mapped columns to the same
+    digest."""
     inputs = scale_world(48, n_active=16, seed=0)
     old_meta = {"block_rows": fingerprint.BLOCK_ROWS, "block_digests": ["0" * 32]}
     with patch.object(tables, "_block_meta", lambda table, pools=None: old_meta):
@@ -235,3 +245,52 @@ def test_probe_over_a_fresh_bundle_reads_no_logs_or_aggregates(tmp_path):
     assert "ct_logs" not in unpickled, unpickled
     assert inputs.crtsh.__dict__.get("_logs_real") is None
     assert inputs.pdns._rows is None
+
+
+def _counting_value_digest(calls: list):
+    real = fingerprint.value_digest
+
+    def counted(value):
+        calls.append(value)
+        return real(value)
+
+    return patch.object(fingerprint, "value_digest", counted)
+
+
+def test_a_fresh_paper_bundle_probe_hashes_no_context_dataset(paper, tmp_path):
+    """``aux.seg`` stores the AS2Org, routing and geo digests, so the
+    first probe over a freshly opened bundle hashes none of them and
+    still keys like the in-RAM world."""
+    inputs = PipelineInputs.from_study(paper)
+    write_segments(inputs, tmp_path)
+    calls: list = []
+    with _counting_value_digest(calls):
+        stored = inputs_digest(load_segment_inputs(tmp_path))
+    assert calls == []
+    in_ram = replace(
+        inputs,
+        as2org=without_digest(inputs.as2org),
+        routing=without_digest(inputs.routing),
+        geo=without_digest(inputs.geo),
+    )
+    with _counting_value_digest(calls):
+        assert inputs_digest(in_ram) == stored
+    assert len(calls) == 3
+
+
+def test_aux_segment_bytes_do_not_depend_on_a_prior_probe(tmp_path):
+    """The pickled context carries no digest memo: a bundle written
+    after its world was digested is byte for byte the one written
+    before."""
+    written = {}
+    for probed in (False, True):
+        inputs = PipelineInputs.from_study(run_study(small_world()))
+        if probed:
+            inputs_digest(inputs)
+        directory = tmp_path / f"probed-{probed}"
+        write_segments(inputs, directory)
+        written[probed] = (directory / "aux.seg").read_bytes()
+        context = Segment.open(directory / "aux.seg").pickle("context")
+        for name in ("as2org", "routing", "geo"):
+            assert fingerprint._DIGEST_MEMO not in vars(context[name]), name
+    assert written[False] == written[True]

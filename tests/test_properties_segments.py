@@ -1,7 +1,7 @@
 """Differential property tests: segment-backed tables vs in-RAM builds.
 
 Arbitrary scan histories, pDNS observation streams, and CT submissions
-are built in RAM, written as ``repro-segment/1`` files, and reopened
+are built in RAM, written as ``repro-segment/2`` files, and reopened
 through the mmap-backed table subclasses.  Every query surface the
 pipeline touches — interned pools, CSR slices, record materialization,
 ``select()`` derivation, pDNS blackout windows, CT base searches — must
@@ -10,8 +10,10 @@ never semantics.
 
 The corruption classes pin the other half of the format contract: a
 truncated or bit-flipped segment raises a *typed* ``SegmentError``
-(usually the ``SegmentChecksumError`` subclass) from the verify pass —
-never garbage rows, never a downstream unpickling crash.
+(usually the ``SegmentChecksumError`` subclass) — never garbage rows,
+never a downstream unpickling crash.  Truncation and header damage fail
+the open; a flipped blob fails its first read; ``verify_segment`` fails
+on any of them, padding included.
 """
 
 from datetime import date, timedelta
@@ -26,7 +28,9 @@ from repro.dns.records import RRType
 from repro.net.timeline import DateInterval
 from repro.pdns.database import PassiveDNSDatabase
 from repro.scan.dataset import ScanDataset
+from repro.epochs import read_delta
 from repro.segments import (
+    Segment,
     SegmentChecksumError,
     SegmentError,
     open_ct_table,
@@ -37,6 +41,7 @@ from repro.segments import (
     write_pdns_table,
     write_scan_table,
 )
+from repro.segments.format import MAGIC
 from repro.tls.certificate import Certificate
 
 from tests.helpers import ALL_PERIODS, ScanSketch, make_cert, scan_dates
@@ -292,28 +297,122 @@ class TestCtSegmentRoundTrip:
             assert reopened.logged_date(row) == table.logged_date(row)
 
 
+def _flip(path, position: int, bit: int = 0):
+    """A copy of the segment at ``path`` with one bit flipped."""
+    blob = bytearray(path.read_bytes())
+    blob[position] ^= 1 << bit
+    flipped = path.with_name("flipped.seg")
+    flipped.write_bytes(bytes(blob))
+    return flipped
+
+
+def _table_surfaces(domains):
+    """The scan table's public read surfaces, each a function of the table."""
+    return {
+        "row_dicts": lambda t: list(t.row_dicts()),
+        **{
+            f"pool {pool}": (lambda t, pool=pool: list(getattr(t, pool)))
+            for pool in _SCAN_POOLS
+        },
+        **{
+            f"domain {domain}": (
+                lambda t, domain=domain: (t.domain_slice(domain), t.records_for(domain))
+            )
+            for domain in domains
+        },
+    }
+
+
 class TestCorruptionDetection:
-    @settings(max_examples=20, deadline=None)
+    """A blob verifies on its first read, not at open: a flip inside one
+    raises where that blob is read.  That moves when the error is
+    raised, not whether: no flip ever yields a value."""
+
+    @settings(max_examples=30, deadline=None)
     @given(_history, st.data())
-    def test_bit_flip_raises_typed_error(self, tmp_path_factory, history, data):
-        """Any single-bit flip anywhere in the file is caught by the
-        verify pass as a SegmentError — never decoded into rows."""
+    def test_bit_flip_raises_typed_error(
+        self, tmp_path_factory, history, data
+    ):
         dataset = _dataset_from(history)
-        tmp = tmp_path_factory.mktemp("flip")
-        path = tmp / "scan.seg"
-        write_scan_table(dataset.table, path, scan_dates=dataset.scan_dates)
-        blob = bytearray(path.read_bytes())
-        position = data.draw(
-            st.integers(min_value=0, max_value=len(blob) - 1), label="position"
-        )
-        bit = data.draw(st.integers(min_value=0, max_value=7), label="bit")
-        blob[position] ^= 1 << bit
-        flipped = tmp / "flipped.seg"
-        flipped.write_bytes(bytes(blob))
-        with pytest.raises(SegmentError):
-            open_scan_table(flipped)
-        with pytest.raises(SegmentError):
+        table = dataset.table
+        path = tmp_path_factory.mktemp("flip") / "scan.seg"
+        write_scan_table(table, path, scan_dates=dataset.scan_dates)
+        clean = path.read_bytes()
+        size = len(clean)
+        segment = Segment.open(path)
+        specs = [segment.spec(name) for name in segment.names()]
+        segment.close()
+        # Half the flips land in the payload, which the header dwarfs.
+        low = data.draw(st.sampled_from([0, min(s["offset"] for s in specs)]))
+        position = data.draw(st.integers(min_value=low, max_value=size - 1))
+        flipped = _flip(path, position, data.draw(st.integers(0, 7)))
+
+        # The whole-file check catches every flip, padding included.
+        with pytest.raises(SegmentChecksumError):
             verify_segment(flipped)
+
+        # Either the open fails, or exactly the blob holding the flip does.
+        try:
+            reopened = Segment.open(flipped)
+        except SegmentError:
+            pass
+        else:
+            for spec in specs:
+                lo, hi = spec["offset"], spec["offset"] + spec["length"]
+                if lo <= position < hi:
+                    with pytest.raises(SegmentChecksumError):
+                        reopened.blob(spec["name"])
+                else:
+                    assert reopened.blob(spec["name"]) == clean[lo:hi]
+
+        # Every public surface of the table raises or is the clean table's.
+        try:
+            corrupt = open_scan_table(flipped)
+        except SegmentError:
+            return
+        for name, surface in _table_surfaces(dataset.domains()).items():
+            try:
+                value = surface(corrupt)
+            except SegmentError:
+                continue
+            assert value == surface(table), name
+
+    def test_padding_flip_fails_verify_only(self, tmp_path):
+        """Padding belongs to no blob: the whole-file check catches a
+        flip there, and every read of the file still succeeds."""
+        dataset = _dataset_from([(0, 0, 0, 5, 0), (1, 1, 2, 9, 1)])
+        path = tmp_path / "scan.seg"
+        write_scan_table(dataset.table, path, scan_dates=dataset.scan_dates)
+        segment = Segment.open(path)
+        spec = next(
+            s
+            for s in map(segment.spec, segment.names())
+            if s["length"] % 8
+        )
+        segment.close()
+        flipped = _flip(path, spec["offset"] + spec["length"])
+        with pytest.raises(SegmentChecksumError):
+            verify_segment(flipped)
+        reopened = Segment.open(flipped)
+        for name in reopened.names():
+            reopened.blob(name)
+        corrupt = open_scan_table(flipped)
+        for name, surface in _table_surfaces(dataset.domains()).items():
+            assert surface(corrupt) == surface(dataset.table), name
+
+    def test_version_1_file_is_refused(self, tmp_path):
+        """A ``repro-segment/1`` file (segment or banked delta) is a typed
+        error that says to rewrite it, not a checksum failure."""
+        dataset = _dataset_from([(0, 0, 0, 5, 0)])
+        path = tmp_path / "scan.seg"
+        write_scan_table(dataset.table, path, scan_dates=dataset.scan_dates)
+        blob = path.read_bytes()
+        old = tmp_path / "old.seg"
+        old.write_bytes(b"repro-segment/1\n" + blob[len(MAGIC):])
+        for reader in (open_scan_table, verify_segment, read_delta):
+            with pytest.raises(SegmentError, match="rewrite") as caught:
+                reader(old)
+            assert not isinstance(caught.value, SegmentChecksumError)
 
     @settings(max_examples=20, deadline=None)
     @given(_history, st.data())
