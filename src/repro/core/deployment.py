@@ -15,7 +15,8 @@ each period is a bisect-found contiguous CSR slice, cells aggregate
 interned integer ids, and the result is a compact int-tuple *encoded*
 form that worker results and cache entries ship instead of object
 graphs — and :func:`decode_domain_maps` materializes the object maps
-from it.  :func:`build_domain_maps` runs both halves for one domain.
+from it, one :class:`ContentRun` per encoded run.
+:func:`build_domain_maps` runs both halves for one domain.
 The row-at-a-time reference algorithm the differential property tests
 compare the kernel against lives in ``tests/reference.py``.
 """
@@ -23,10 +24,10 @@ compare the kernel against lives in ``tests/reference.py``.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.net.timeline import DateInterval, Period
 from repro.scan.dataset import ScanDataset
@@ -44,55 +45,43 @@ class DeploymentGroup:
     countries: frozenset[str]
 
 
-_group_new = DeploymentGroup.__new__
-_group_set = object.__setattr__
+class ContentRun(NamedTuple):
+    """Consecutive observations (cells) of one deployment with identical
+    content: the dates of the scans that saw it — which may skip scans
+    within the deployment's gap tolerance — plus the one set of IPs,
+    certificates and countries seen on every one of them."""
+
+    dates: tuple[date, ...]
+    ips: frozenset[str]
+    cert_fingerprints: frozenset[str]
+    countries: frozenset[str]
 
 
-def _make_group(
-    domain: str,
-    scan_date: date,
-    asn: int,
-    ips: frozenset[str],
-    cert_fingerprints: frozenset[str],
-    countries: frozenset[str],
-) -> DeploymentGroup:
-    """Construct a group bypassing the frozen-dataclass ``__init__``.
-
-    The generated init re-enters ``__setattr__`` per field through the
-    FrozenInstanceError guard; the decode path builds tens of thousands
-    of groups per run, so it pays the plain-slot-store price instead.
-    """
-    group = _group_new(DeploymentGroup)
-    _group_set(group, "domain", domain)
-    _group_set(group, "scan_date", scan_date)
-    _group_set(group, "asn", asn)
-    _group_set(group, "ips", ips)
-    _group_set(group, "cert_fingerprints", cert_fingerprints)
-    _group_set(group, "countries", countries)
-    return group
-
-
-@dataclass
+@dataclass(frozen=True)
 class Deployment:
     """A deployment group seen longitudinally: one ASN over time.
 
-    The union views (``ips``, ``cert_fingerprints``, ``countries``) and
-    ``interval`` are cached on first access: classification, the
-    shortlist checks, and inspection all hit them repeatedly, and a
-    deployment's groups are fixed once clustering assembled it.
+    Stored as its date-ordered content runs (:class:`ContentRun`): a
+    stable deployment, the overwhelmingly common case, is one run
+    however many weeks it spans.  Every view derives from the runs; the
+    union views and ``interval`` are cached on first access, since
+    classification, the shortlist checks and inspection hit them
+    repeatedly.  ``groups`` expands one :class:`DeploymentGroup` per
+    scan date, as a read-only tuple, on first read; nothing on the hunt
+    path reads it.
     """
 
     domain: str
     asn: int
-    groups: list[DeploymentGroup] = field(default_factory=list)
+    runs: tuple[ContentRun, ...]
 
     @property
     def first_seen(self) -> date:
-        return self.groups[0].scan_date
+        return self.runs[0].dates[0]
 
     @property
     def last_seen(self) -> date:
-        return self.groups[-1].scan_date
+        return self.runs[-1].dates[-1]
 
     @property
     def span_days(self) -> int:
@@ -100,26 +89,36 @@ class Deployment:
 
     @property
     def scan_count(self) -> int:
-        return len(self.groups)
+        return sum(len(run.dates) for run in self.runs)
 
     @cached_property
     def ips(self) -> frozenset[str]:
-        return frozenset().union(*(g.ips for g in self.groups))
+        return frozenset().union(*(run.ips for run in self.runs))
 
     @cached_property
     def cert_fingerprints(self) -> frozenset[str]:
-        return frozenset().union(*(g.cert_fingerprints for g in self.groups))
+        return frozenset().union(*(run.cert_fingerprints for run in self.runs))
 
     @cached_property
     def countries(self) -> frozenset[str]:
-        return frozenset().union(*(g.countries for g in self.groups))
+        return frozenset().union(*(run.countries for run in self.runs))
 
     @cached_property
     def interval(self) -> DateInterval:
         return DateInterval(self.first_seen, self.last_seen)
 
     def dates(self) -> tuple[date, ...]:
-        return tuple(g.scan_date for g in self.groups)
+        return tuple(day for run in self.runs for day in run.dates)
+
+    @cached_property
+    def groups(self) -> tuple[DeploymentGroup, ...]:
+        return tuple(
+            DeploymentGroup(
+                self.domain, day, self.asn, run.ips, run.cert_fingerprints, run.countries
+            )
+            for run in self.runs
+            for day in run.dates
+        )
 
 
 @dataclass
@@ -133,8 +132,8 @@ class DeploymentMap:
 
     @property
     def visible_dates(self) -> tuple[date, ...]:
-        seen = sorted({g.scan_date for d in self.deployments for g in d.groups})
-        return tuple(seen)
+        seen = {day for d in self.deployments for run in d.runs for day in run.dates}
+        return tuple(sorted(seen))
 
     @property
     def presence(self) -> float:
@@ -352,11 +351,12 @@ def decode_domain_maps(
 ) -> list[tuple[tuple[str, int], DeploymentMap]]:
     """Materialize object maps from the encoded form via the table pools.
 
-    Each run resolves its content once — decoded frozensets are interned
-    on the table per id tuple, so a stable deployment's unchanged
-    IP/cert/country sets are one shared object across all its weekly
-    groups — then fans out into one group per scan index, with dates
-    read straight from the period's (memoized) scan calendar.
+    Each encoded run becomes one :class:`ContentRun`: its content
+    resolves once — decoded frozensets are interned on the table per id
+    tuple, so a stable deployment's unchanged IP/cert/country sets are
+    one shared object — and its scan indices become dates read from the
+    period's (memoized) scan calendar.  Decode allocates O(runs)
+    objects, not one per scan.
     """
     table = dataset.table
     asns = table.asns
@@ -367,26 +367,22 @@ def decode_domain_maps(
     for period_index, enc_deployments in encoded:
         period = by_index[period_index]
         dates_in_period = dataset.scan_dates_in(period)
-        deployments: list[Deployment] = []
-        for asn_id, runs in enc_deployments:
-            asn = asns[asn_id]
-            groups: list[DeploymentGroup] = []
-            for indices, ip_ids, cert_ids, cc_ids in runs:
-                ips = interned_set("ips", ip_ids)
-                fps = interned_set("cert_fps", cert_ids)
-                ccs = interned_set("countries", cc_ids)
-                for scan_index in indices:
-                    groups.append(
-                        _make_group(
-                            domain,
-                            dates_in_period[scan_index],
-                            asn,
-                            ips,
-                            fps,
-                            ccs,
-                        )
+        deployments = [
+            Deployment(
+                domain,
+                asns[asn_id],
+                tuple(
+                    ContentRun(
+                        tuple(map(dates_in_period.__getitem__, indices)),
+                        interned_set("ips", ip_ids),
+                        interned_set("cert_fps", cert_ids),
+                        interned_set("countries", cc_ids),
                     )
-            deployments.append(Deployment(domain=domain, asn=asn, groups=groups))
+                    for indices, ip_ids, cert_ids, cc_ids in runs
+                ),
+            )
+            for asn_id, runs in enc_deployments
+        ]
         map_ = DeploymentMap(
             domain=domain,
             period=period,

@@ -35,8 +35,10 @@ def render_deployment_map(map_: DeploymentMap, label_width: int = 30) -> str:
     lines = [header, "-" * max(len(header), label_width + len(dates) + 2)]
     for deployment in map_.deployments:
         row = [" "] * len(dates)
-        for group in deployment.groups:
-            row[index_of[group.scan_date]] = glyph_for(group.cert_fingerprints)
+        for run in deployment.runs:
+            glyph = glyph_for(run.cert_fingerprints)
+            for day in run.dates:
+                row[index_of[day]] = glyph
         countries = "/".join(sorted(deployment.countries))
         label = f"AS{deployment.asn} {as_name(deployment.asn)} [{countries}]"
         lines.append(f"{label[:label_width]:<{label_width}} |{''.join(row)}|")

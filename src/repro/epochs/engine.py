@@ -12,8 +12,9 @@ carried-over evidence.  The engine makes the epoch the unit of work:
    orders, clean CSR runs copy as buffers, and a stack of epochs
    carries its lookups forward), pDNS re-folds the observations, CT
    gains one delta log; the result is equivalent to datasets built
-   cold from the concatenated evidence.  The pDNS and CT merges still
-   walk their base tables.
+   cold from the concatenated evidence.  The pDNS merge, and a CT merge
+   with entries or revocations, still walk their base tables; a
+   channel the delta leaves empty is the base table or service itself.
 2. **Schedule** the domains whose deployment encoding the delta can
    change (:func:`compute_dirty_set`): those with appended scan rows,
    plus a flag for an in-period scan-calendar change.
@@ -113,10 +114,12 @@ def merge_inputs(inputs: PipelineInputs, delta: EpochDelta) -> PipelineInputs:
     to building every dataset cold from the concatenated evidence; the
     golden epoch suite pins that equivalence at report level and the
     overlay differential pins it at table level.  The base bundle is
-    never modified.
+    never modified; an empty scan or CT part of the delta reuses the
+    base table or service, which is then neither copied nor reloaded.
     """
+    table = inputs.scan.table
     scan = ScanDataset.from_table(
-        extend_scan_table(inputs.scan.table, delta.scan_rows),
+        extend_scan_table(table, delta.scan_rows) if delta.scan_rows else table,
         tuple(sorted(set(inputs.scan.scan_dates) | set(delta.scan_dates))),
         known_missing_dates=(
             inputs.scan.known_missing_dates | frozenset(delta.known_missing)
@@ -157,6 +160,8 @@ def _merge_crtsh(base: CrtShService, delta: EpochDelta) -> CrtShService:
     log); revocations install into a copied registry so the base
     service keeps answering with its pre-epoch knowledge.
     """
+    if not delta.ct_entries and not delta.revocations:
+        return base
     logs = list(base._logs)
     if delta.ct_entries:
         log = CTLog(f"epoch-{delta.epoch}-delta")

@@ -62,6 +62,9 @@ DEFAULT_LEDGER_DIR = ".repro-ledger"
 
 _DIGEST_BYTES = 16
 _CHECKSUM_BYTES = 16
+#: How much of the index's end :meth:`RunLedger._next_seq` reads: a
+#: dozen lines, so the next seq costs the same at any history length.
+_SEQ_TAIL_BYTES = 4096
 
 
 def _digest(payload: bytes) -> str:
@@ -193,6 +196,25 @@ class IndexEntry:
     wall_seconds: float
     path: str  # relative to the ledger root
     checksum: str
+
+
+def _index_entry(line: str | bytes) -> IndexEntry:
+    """Parse one index line; raises ValueError, KeyError or TypeError
+    on a truncated line, a missing field or a wrong schema."""
+    data = json.loads(line)
+    schema = data.get("schema") if isinstance(data, dict) else None
+    if schema != LEDGER_SCHEMA:
+        raise ValueError(f"schema {schema!r}")
+    return IndexEntry(
+        seq=int(data["seq"]),
+        run_id=data["run_id"],
+        kind=data["kind"],
+        key=data["key"],
+        recorded_at=data["recorded_at"],
+        wall_seconds=float(data["wall_seconds"]),
+        path=data["path"],
+        checksum=data["checksum"],
+    )
 
 
 # -- key derivation ------------------------------------------------------------
@@ -342,9 +364,9 @@ class RunLedger:
         digest = _digest(payload)
         record.run_id = f"{seq:06d}-{digest[:12]}"
         payload_dict["run_id"] = record.run_id
-        blob = (json.dumps(payload_dict, indent=2, sort_keys=True) + "\n").encode(
-            "utf-8"
-        )
+        # Compact canonical JSON: the C encoder, where indenting would
+        # run the pure-Python one over every stage and metric.
+        blob = (canonical_json(payload_dict) + "\n").encode("utf-8")
         relative = f"records/{digest[:2]}/{digest}.json"
         path = self._record_path(relative)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -370,8 +392,29 @@ class RunLedger:
         return record.run_id
 
     def _next_seq(self) -> int:
-        """One past the highest seq in the index: gc drops old lines and
-        a torn line carries none, so the line count is not a seq."""
+        """One past the seq of the index's last readable line.
+
+        Appends write one past the highest seq and gc keeps the order,
+        so seqs rise down the file and only its tail is parsed, not the
+        whole history; a torn or corrupt line carries none, so the scan
+        steps back over it.  (gc drops old lines, so the line count is
+        not a seq.)
+        """
+        try:
+            with self.index_path.open("rb") as handle:
+                start = max(0, handle.seek(0, os.SEEK_END) - _SEQ_TAIL_BYTES)
+                handle.seek(start)
+                lines = handle.read().splitlines()
+        except OSError:
+            return 0
+        if start:
+            del lines[0]  # the tail may begin mid-line
+        for line in reversed(lines):
+            try:
+                return _index_entry(line).seq + 1
+            except (ValueError, KeyError, TypeError):
+                continue
+        # No readable line in the tail: parse the whole index.
         return max((entry.seq + 1 for entry in self.entries()), default=0)
 
     # -- reading ---------------------------------------------------------------
@@ -393,21 +436,7 @@ class RunLedger:
             if not line.strip():
                 continue
             try:
-                data = json.loads(line)
-                if data.get("schema") != LEDGER_SCHEMA:
-                    raise ValueError(f"schema {data.get('schema')!r}")
-                entries.append(
-                    IndexEntry(
-                        seq=int(data["seq"]),
-                        run_id=data["run_id"],
-                        kind=data["kind"],
-                        key=data["key"],
-                        recorded_at=data["recorded_at"],
-                        wall_seconds=float(data["wall_seconds"]),
-                        path=data["path"],
-                        checksum=data["checksum"],
-                    )
-                )
+                entries.append(_index_entry(line))
             except (ValueError, KeyError, TypeError) as error:
                 self.evicted += 1
                 logger.warning(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Iterable
 
-from repro.core.deployment import Deployment, DeploymentGroup, DeploymentMap
+from repro.core.deployment import ContentRun, Deployment, DeploymentGroup, DeploymentMap
 from repro.core.patterns import Classification, PatternConfig, transient_subpattern_of
 from repro.core.shortlist import PruneDecision, ShortlistEntry, Shortlister
 from repro.core.types import PatternKind, SubPattern
@@ -232,17 +232,30 @@ def _cluster(
     deployments: list[Deployment] = []
     for asn, asn_groups in by_asn.items():
         asn_groups.sort(key=lambda g: g.scan_date)
-        current = Deployment(domain=domain, asn=asn, groups=[asn_groups[0]])
+        current = [asn_groups[0]]
         for group in asn_groups[1:]:
-            gap = index_of[group.scan_date] - index_of[current.groups[-1].scan_date]
+            gap = index_of[group.scan_date] - index_of[current[-1].scan_date]
             if gap > max_gap_scans:
-                deployments.append(current)
-                current = Deployment(domain=domain, asn=asn, groups=[group])
+                deployments.append(_deployment(domain, asn, current))
+                current = [group]
             else:
-                current.groups.append(group)
-        deployments.append(current)
+                current.append(group)
+        deployments.append(_deployment(domain, asn, current))
     deployments.sort(key=lambda d: (d.first_seen, d.asn))
     return deployments
+
+
+def _deployment(domain: str, asn: int, groups: list[DeploymentGroup]) -> Deployment:
+    """The deployment of a finished, date-ordered group list: consecutive
+    groups with equal content fold into one run."""
+    runs: list[ContentRun] = []
+    for group in groups:
+        content = (group.ips, group.cert_fingerprints, group.countries)
+        if runs and runs[-1][1:] == content:
+            runs[-1] = runs[-1]._replace(dates=runs[-1].dates + (group.scan_date,))
+        else:
+            runs.append(ContentRun((group.scan_date,), *content))
+    return Deployment(domain=domain, asn=asn, runs=tuple(runs))
 
 
 def build_deployment_map(

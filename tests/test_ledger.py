@@ -175,8 +175,10 @@ def test_index_line_with_wrong_schema_is_skipped(tmp_path):
     ledger.append(_record())
     with ledger.index_path.open("a") as handle:
         handle.write(json.dumps({"schema": "repro-ledger/99", "seq": 1}) + "\n")
+        handle.write("5\n")  # valid JSON, but not an entry object
     assert len(ledger.entries()) == 1
-    assert ledger.evicted == 1
+    assert ledger.evicted == 2
+    assert ledger.append(_record()).startswith("000001-")
 
 
 def test_gc_keeps_newest_and_removes_orphans(tmp_path):
@@ -220,6 +222,33 @@ def test_append_after_gc_continues_the_seq(tmp_path):
     run_id = ledger.append(_record(wall=6.0))
     assert run_id.startswith("000005-")
     assert [e.seq for e in ledger.entries()] == [3, 4, 5]
+
+
+def test_append_reads_the_index_tail_not_the_history(tmp_path, monkeypatch):
+    """The next seq comes from the index's last readable line, so an
+    append costs the same however long the ledger's history is."""
+    ledger = RunLedger(tmp_path / "ledger")
+    for i in range(40):  # more lines than the tail window holds
+        ledger.append(_record(wall=float(i + 1)))
+    assert ledger.index_path.stat().st_size > 4096
+
+    def no_full_parse(self):
+        raise AssertionError("append parsed the whole index")
+
+    monkeypatch.setattr(RunLedger, "entries", no_full_parse)
+    assert ledger.append(_record(wall=41.0)).startswith("000040-")
+
+
+def test_a_tail_of_corrupt_lines_falls_back_to_the_whole_index(tmp_path):
+    ledger = RunLedger(tmp_path / "ledger")
+    for i in range(3):
+        ledger.append(_record(wall=float(i + 1)))
+    with ledger.index_path.open("a", encoding="utf-8") as handle:
+        for _ in range(120):  # no readable line left in the tail window
+            handle.write('{"schema": "repro-ledger/1", "seq": 99, "run_\n')
+    assert ledger.index_path.stat().st_size > 4096 + 3 * 400
+    assert ledger.append(_record(wall=4.0)).startswith("000003-")
+    assert [e.seq for e in ledger.entries()] == [0, 1, 2, 3]
 
 
 # -- keys ----------------------------------------------------------------------

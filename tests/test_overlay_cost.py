@@ -14,8 +14,10 @@ The content-digest extension is metered with the rest: it hashes the
 trailing partial blocks from buffers and decodes nothing.  Every delta
 value may bisect its pool, so decodes are bounded by ``c * delta values
 * ceil(log2 pool)``, and a tenfold population must not grow the count
-the way an O(dataset) walk would.  The pDNS and CT merges are not
-covered.
+the way an O(dataset) walk would.  A delta that leaves the scan and CT
+channels empty must touch neither: the merge hands back the base table
+and service, reads no scan blob and unpickles no CT log.  The pDNS
+merge is not covered.
 """
 
 from __future__ import annotations
@@ -30,7 +32,14 @@ from repro.core.pipeline import HijackPipeline
 from repro.epochs import engine, merge_inputs
 from repro.exec import SerialBackend
 from repro.scan.table import ScanTable
-from repro.segments import load_segment_inputs, pools, write_segments
+from repro.segments import (
+    Segment,
+    load_segment_inputs,
+    pools,
+    segment_paths,
+    write_segments,
+)
+from repro.segments import format as segment_format
 from repro.world.scale import make_delta, scale_world
 
 SIZES = (2_000, 20_000)
@@ -162,3 +171,33 @@ def test_seed_deployment_cost_is_o_delta(bundles, monkeypatch, tmp_path):
         steps = math.ceil(math.log2(n))
         bound = C * len(dirty.scan_direct) * steps + entry_size
         assert meter.watched_decodes <= bound, (n, meter.watched_decodes, bound)
+
+
+def test_pdns_only_delta_reuses_scan_and_ct(bundles, monkeypatch):
+    directory = bundles[SIZES[0]]
+    delta = replace(
+        make_delta(load_segment_inputs(directory), seed=0, epoch=1),
+        scan_rows=(), ct_entries=(), revocations=(),
+    )
+    assert delta.pdns_observations
+    inputs = load_segment_inputs(directory)
+    read, unpickled = set(), []
+    pread, pickle_blob = segment_format._pread, Segment.pickle
+
+    def metered(fd, size, offset, path):
+        read.add(path)
+        return pread(fd, size, offset, path)
+
+    def recording(segment, name):
+        unpickled.append(name)
+        return pickle_blob(segment, name)
+
+    monkeypatch.setattr(segment_format, "_pread", metered)
+    monkeypatch.setattr(Segment, "pickle", recording)
+    merged = merge_inputs(inputs, delta)
+
+    assert merged.scan.table is inputs.scan.table
+    assert merged.crtsh is inputs.crtsh
+    assert segment_paths(directory)["scan"] not in read, read
+    assert "ct_logs" not in unpickled, unpickled
+    assert merged.pdns is not inputs.pdns

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.patterns import classify_dataset
 from repro.io.datasets import load_scan_dataset, save_scan_dataset
+from repro.net.timeline import DateInterval
 from repro.scan.annotate import Annotator
 from repro.scan.dataset import ScanDataset
 from repro.scan.engine import RawScanObservation
@@ -27,13 +28,16 @@ from tests.reference import build_deployment_map
 DATES = scan_dates()
 DOMAINS = ("alpha.com", "beta.org", "gamma.net")
 
-# One presence run: (domain, asn selector, first scan index, length, cert).
+# One presence run: (domain, asn selector, first scan index, length,
+# cert, host).  The host selector renumbers the IP and moves its country
+# within one ASN, so a deployment's runs can differ in every content set.
 _presence = st.tuples(
     st.integers(min_value=0, max_value=2),   # domain selector
     st.integers(min_value=0, max_value=4),   # asn selector
     st.integers(min_value=0, max_value=24),  # first scan index
     st.integers(min_value=1, max_value=26),  # run length
     st.integers(min_value=0, max_value=3),   # certificate selector
+    st.integers(min_value=0, max_value=1),   # host selector
 )
 _history = st.lists(_presence, min_size=1, max_size=8)
 
@@ -45,16 +49,16 @@ def _dataset_from(history) -> ScanDataset:
         for di, d in enumerate(DOMAINS)
         for i in range(4)
     }
-    for dom_sel, asn_sel, start, length, cert_sel in history:
+    for dom_sel, asn_sel, start, length, cert_sel, host in history:
         domain = DOMAINS[dom_sel]
         dates = DATES[start : min(start + length, len(DATES))]
         if not dates:
             continue
         sketches[domain].presence(
             dates,
-            f"10.{dom_sel}.{asn_sel}.1",
+            f"10.{dom_sel}.{asn_sel}.{1 + host}",
             1000 + asn_sel,
-            "US" if asn_sel % 2 == 0 else "DE",
+            "US" if (asn_sel + host) % 2 == 0 else "DE",
             certs[(domain, cert_sel)],
         )
     records = [r for sketch in sketches.values() for r in sketch.records]
@@ -69,6 +73,30 @@ def _groups_of(map_):
         ]
         for deployment in map_.deployments
     ]
+
+
+def _assert_views_match_groups(map_) -> None:
+    """Every view a deployment and its map derive from their content runs
+    equals the same view computed from the expanded groups."""
+    for deployment in map_.deployments:
+        groups = deployment.groups
+        dates = tuple(g.scan_date for g in groups)
+        assert deployment.first_seen == dates[0]
+        assert deployment.last_seen == dates[-1]
+        assert deployment.scan_count == len(groups)
+        assert deployment.span_days == (dates[-1] - dates[0]).days + 1
+        assert deployment.dates() == dates
+        assert deployment.interval == DateInterval(dates[0], dates[-1])
+        assert deployment.ips == frozenset().union(*(g.ips for g in groups))
+        assert deployment.cert_fingerprints == frozenset().union(
+            *(g.cert_fingerprints for g in groups)
+        )
+        assert deployment.countries == frozenset().union(*(g.countries for g in groups))
+    visible = tuple(
+        sorted({g.scan_date for d in map_.deployments for g in d.groups})
+    )
+    assert map_.visible_dates == visible
+    assert map_.presence == len(visible) / len(map_.scan_dates_in_period)
 
 
 class TestKernelEquivalence:
@@ -95,6 +123,18 @@ class TestKernelEquivalence:
                     domain, records, period, dates_in_period
                 )
                 assert _groups_of(columnar[key]) == _groups_of(oracle)
+
+    @settings(max_examples=50, deadline=None)
+    @given(_history)
+    def test_derived_views_equal_expanded_groups(self, history):
+        """Each kernel-decoded deployment's dates, span, counts and
+        content unions — and each map's visibility — read from its runs
+        agree with the groups those runs expand to."""
+        dataset = _dataset_from(history)
+        classifications = classify_dataset(dataset, ALL_PERIODS)
+        assert classifications
+        for classification in classifications.values():
+            _assert_views_match_groups(classification.map)
 
     @settings(max_examples=50, deadline=None)
     @given(_history)
