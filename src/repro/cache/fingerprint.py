@@ -130,11 +130,20 @@ def _extend(digests: Sequence[str], n_base: int, n: int, chunks) -> list[str]:
     ]
 
 
+def _column(table, name: str):
+    """A per-row column for slicing: a scan table's sparse reader (an
+    overlay's root rows are range reads, never a copy), else the
+    column's buffer."""
+    sparse = getattr(table, "sparse_column", None)
+    return sparse(name) if sparse is not None else memoryview(getattr(table, name))
+
+
 def _blocks(table, base=None, pools=None) -> dict[str, Any]:
     """``table``'s blocks, hashed from its buffers.  With ``base`` — a
     table that ``table`` extends by appending rows and pool values —
-    every full base block is reused.  ``pools`` maps pool names to views
-    already encoded (a writer's)."""
+    every full base block is reused, and only the rows and pool entries
+    of the trailing partial blocks are read.  ``pools`` maps pool names
+    to views already encoded (a writer's)."""
     old = block_digests(base) if base is not None else {"rows": [], "pools": {}}
 
     def n_base(name: str | None = None) -> int:
@@ -142,7 +151,7 @@ def _blocks(table, base=None, pools=None) -> dict[str, Any]:
             return 0
         return len(base if name is None else getattr(base, name))
 
-    columns = [memoryview(getattr(table, name)) for name in table.digest_columns]
+    columns = [_column(table, name) for name in table.digest_columns]
     blocks: dict[str, Any] = {
         "block_rows": BLOCK_ROWS,
         "rows": _extend(

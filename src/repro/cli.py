@@ -24,7 +24,7 @@
 
     repro-hunt segments {write,inspect,verify}
         Lay a study (or an ``--scale N`` synthetic world) out as a
-        checksummed ``repro-segment/2`` bundle, print the verified
+        checksummed ``repro-segment/3`` bundle, print the verified
         header summaries, or checksum every byte of a bundle (nonzero
         exit on corruption; a run verifies only the blobs it reads).
         See docs/performance.md.

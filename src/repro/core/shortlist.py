@@ -17,6 +17,7 @@ Four pruning checks, then the keep rule:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -141,18 +142,21 @@ class Shortlister:
         order."""
         table = self._dataset.table
         map_ = classification.map
-        lo, hi = table.period_slice(map_.domain, map_.period.start, map_.period.end)
+        # The domain's run is read sparsely, as are its rows' ids, so an
+        # epoch overlay or a segment-backed table copies nothing.
+        run, run_dates = table.domain_rows(map_.domain)
+        lo = bisect_left(run_dates, map_.period.start.toordinal())
+        hi = bisect_right(run_dates, map_.period.end.toordinal())
         wanted = {d.toordinal() for d in transient.dates()}
         asn = transient.asn
         ips = transient.ips
-        csr_rows, csr_dates = table.csr_rows, table.csr_dates
-        asn_id, asns = table.asn_id, table.asns
-        ip_id, ip_pool = table.ip_id, table.ips
+        asn_id, asns = table.sparse_column("asn_id"), table.asns
+        ip_id, ip_pool = table.sparse_column("ip_id"), table.ips
         rows: list[int] = []
         for i in range(lo, hi):
-            if csr_dates[i] not in wanted:
+            if run_dates[i] not in wanted:
                 continue
-            row = csr_rows[i]
+            row = run[i]
             if asns[asn_id[row]] != asn or ip_pool[ip_id[row]] not in ips:
                 continue
             rows.append(row)
@@ -164,7 +168,7 @@ class Shortlister:
         a pure name predicate)."""
         table = self._dataset.table
         names: list[str] = []
-        names_id, name_sets = table.names_id, table.name_sets
+        names_id, name_sets = table.sparse_column("names_id"), table.name_sets
         for row in rows:
             if not table.trusted(row):
                 continue

@@ -6,15 +6,16 @@ updated report *now* — not after a full re-run over three years of
 carried-over evidence.  The engine makes the epoch the unit of work:
 
 1. **Merge** the delta onto the base bundle as an overlay
-   (:func:`merge_inputs`).  The scan table extends id-stably in
-   O(delta) Python work (:func:`repro.segments.overlay.extend_scan_table`:
+   (:func:`merge_inputs`).  The scan table extends id-stably and reads
+   O(delta) bytes (:func:`repro.segments.overlay.extend_scan_table`:
    delta values intern by bisecting the base pools' stored sorted
-   orders, clean CSR runs copy as buffers, and a stack of epochs
-   carries its lookups forward), pDNS re-folds the observations, CT
-   gains one delta log; the result is equivalent to datasets built
-   cold from the concatenated evidence.  The pDNS merge, and a CT merge
-   with entries or revocations, still walk their base tables; a
-   channel the delta leaves empty is the base table or service itself.
+   orders, only the touched domains' CSR runs re-merge, the base is
+   shared rather than copied, and a stack of epochs flattens onto one
+   root), pDNS re-folds the observations, CT gains one delta log; the
+   result is equivalent to datasets built cold from the concatenated
+   evidence.  The pDNS merge, and a CT merge with entries or
+   revocations, still walk their base tables; a channel the delta
+   leaves empty is the base table or service itself.
 2. **Schedule** the domains whose deployment encoding the delta can
    change (:func:`compute_dirty_set`): those with appended scan rows,
    plus a flag for an in-period scan-calendar change.
@@ -22,7 +23,10 @@ carried-over evidence.  The engine makes the epoch the unit of work:
    (:func:`run_epoch` via ``_seed_deployment``): clean domains reuse
    their base encodings verbatim — from the base run's stage entry or,
    when the base run was interrupted, from its per-shard products and
-   resume manifest — and only dirty domains re-encode.  The pipeline
+   resume manifest — and only dirty domains re-encode, over a table of
+   just their rows (:meth:`ScanTable.subset`).  When seeding declines,
+   the merged scan table is materialized once in the parent before the
+   executor's full sweep, so forked workers share one copy.  The pipeline
    then runs normally and finds step 1 already satisfied; downstream
    stages re-run over the (small) funnel survivors as usual, so a
    delta's pDNS, CT or shared-infrastructure effects reach the report
@@ -66,7 +70,7 @@ from repro.faults import DataQuality, FaultPlan, apply_faults
 from repro.obs.ledger import record_run
 from repro.pdns.database import PassiveDNSDatabase
 from repro.scan.dataset import ScanDataset
-from repro.segments.overlay import extend_scan_table
+from repro.segments.overlay import extend_scan_table, materialize
 from repro.tls.revocation import RevocationEntry, RevocationRegistry
 
 if TYPE_CHECKING:
@@ -226,6 +230,11 @@ def run_epoch(
         seeded, reused, recomputed, reason = _seed_deployment(
             inputs, degraded, dirty, plan, config, cache
         )
+    if not seeded and recomputed:
+        # The executor sweeps the table the faults leave (the merged
+        # overlay itself under a plan that spares scans): copy it once
+        # here, not once per forked worker.
+        materialize(degraded.scan.table)
 
     pipeline = HijackPipeline(merged, config=config, faults=plan)
     report, metrics = pipeline.profile(backend, cache=cache, events=events)
@@ -289,10 +298,20 @@ def _seed_deployment(
 
     merged_scan = degraded_merged.scan
 
-    def encode(name: str):
-        return encode_domain_maps(
-            merged_scan, name, degraded_merged.periods, config.max_gap_scans
+    def encode(names) -> dict[str, Any]:
+        # Over a table of just these domains' merged rows: an encoding
+        # reads only its domain's rows and the scan calendar, so it is
+        # the same there, and nothing population-sized is read.
+        names = list(names)
+        scan = ScanDataset.from_table(
+            merged_scan.table.subset(names),
+            merged_scan.scan_dates,
+            merged_scan.known_missing_dates,
         )
+        return {
+            name: encode_domain_maps(scan, name, degraded_merged.periods, config.max_gap_scans)
+            for name in names
+        }
 
     entry = cache.get(base_fp)
     if entry is not None:
@@ -300,13 +319,13 @@ def _seed_deployment(
         # domain it omits encoded empty).  Only the dirty domains in the
         # merged population re-encode, so the splice touches the entry
         # and the dirty set, never the population.
-        redo = {
+        redo = encode(
             name for name in dirty.scan_direct
             if merged_scan.table.domain_index(name) is not None
-        }
+        )
         spliced = sorted(
             [(name, enc) for name, enc in entry.products["encoded_maps"] if name not in redo]
-            + [(name, enc) for name in redo if (enc := encode(name))]
+            + [(name, enc) for name, enc in redo.items() if enc]
         )
         recomputed = len(redo)
         reused = len(merged_domains) - recomputed
@@ -343,14 +362,13 @@ def _resume_splice(cache, base_fp, base_domains, merged_domains, scan_direct, en
     Shards that never completed leave their ordinals :data:`_MISSING`,
     so this walks the merged population: a single forward pointer
     aligns it with the (sorted) base population, and every domain that
-    is dirty, new or uncovered re-encodes.
+    is dirty, new or uncovered re-encodes, all in one ``encode`` call.
     """
     base_encoded = _resume_products(cache, base_fp, len(base_domains))
     if base_encoded is None:
         return None
     n_base = len(base_domains)
-    spliced: list[tuple[str, Any]] = []
-    reused = recomputed = 0
+    aligned: list[tuple[str, Any]] = []
     j = 0
     for name in merged_domains:
         while j < n_base and base_domains[j] < name:
@@ -358,14 +376,15 @@ def _resume_splice(cache, base_fp, base_domains, merged_domains, scan_direct, en
         encoded = _MISSING
         if j < n_base and base_domains[j] == name and name not in scan_direct:
             encoded = base_encoded[j]
+        aligned.append((name, encoded))
+    redo = encode([name for name, encoded in aligned if encoded is _MISSING])
+    spliced: list[tuple[str, Any]] = []
+    for name, encoded in aligned:
         if encoded is _MISSING:
-            encoded = encode(name)
-            recomputed += 1
-        else:
-            reused += 1
+            encoded = redo[name]
         if encoded:
             spliced.append((name, encoded))
-    return spliced, reused, recomputed
+    return spliced, len(aligned) - len(redo), len(redo)
 
 
 def _resume_products(cache: StageCache, base_fp: str, n_base: int) -> list | None:

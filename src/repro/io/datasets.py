@@ -10,41 +10,12 @@ from __future__ import annotations
 
 from datetime import date
 from pathlib import Path
-from typing import Any
 
 from repro.dns.records import RRType
 from repro.io.jsonl import read_jsonl, write_jsonl
 from repro.pdns.database import PassiveDNSDatabase
 from repro.scan.dataset import ScanDataset
-from repro.tls.certificate import Certificate, ValidationLevel
-
-
-def _cert_to_dict(cert: Certificate) -> dict[str, Any]:
-    return {
-        "serial": cert.serial,
-        "cn": cert.common_name,
-        "sans": list(cert.sans),
-        "issuer": cert.issuer,
-        "not_before": cert.not_before.isoformat(),
-        "not_after": cert.not_after.isoformat(),
-        "validation": cert.validation.name,
-        "crtsh_id": cert.crtsh_id,
-        "key_id": cert.key_id,
-    }
-
-
-def _cert_from_dict(data: dict[str, Any]) -> Certificate:
-    return Certificate(
-        serial=data["serial"],
-        common_name=data["cn"],
-        sans=tuple(data["sans"]),
-        issuer=data["issuer"],
-        not_before=date.fromisoformat(data["not_before"]),
-        not_after=date.fromisoformat(data["not_after"]),
-        validation=ValidationLevel[data["validation"]],
-        crtsh_id=data["crtsh_id"],
-        key_id=data["key_id"],
-    )
+from repro.tls.certificate import Certificate, certificate_from_dict, certificate_to_dict
 
 
 def save_scan_dataset(dataset: ScanDataset, path: str | Path) -> int:
@@ -69,7 +40,7 @@ def save_scan_dataset(dataset: ScanDataset, path: str | Path) -> int:
                 "sensitive": table.sensitive(row),
                 "names": list(table.name_sets[table.names_id[row]]),
                 "base_domains": list(table.base_sets[table.bases_id[row]]),
-                "certificate": _cert_to_dict(table.certs[table.cert_id[row]]),
+                "certificate": certificate_to_dict(table.certs[table.cert_id[row]]),
             }
 
     return write_jsonl(path, rows())
@@ -93,7 +64,7 @@ def load_scan_dataset(path: str | Path) -> ScanDataset:
         if row["kind"] == "header":
             scan_dates = tuple(date.fromisoformat(d) for d in row["scan_dates"])
             continue
-        cert = _cert_from_dict(row["certificate"])
+        cert = certificate_from_dict(row["certificate"])
         cert = cert_cache.setdefault(cert.fingerprint, cert)
         builder.append_row(
             date.fromisoformat(row["scan_date"]).toordinal(),

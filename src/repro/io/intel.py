@@ -14,9 +14,9 @@ from pathlib import Path
 
 from repro.ct.crtsh import CrtShService
 from repro.ct.log import CTLog
-from repro.io.datasets import _cert_from_dict, _cert_to_dict
 from repro.io.jsonl import read_jsonl, write_jsonl
 from repro.ipintel.as2org import AS2Org
+from repro.tls.certificate import certificate_from_dict, certificate_to_dict
 from repro.tls.revocation import RevocationMechanism, RevocationRegistry, RevocationStatus
 
 
@@ -31,7 +31,7 @@ def save_ct(crtsh_source: CTLog, revocations: RevocationRegistry, path: str | Pa
                 "logged_at": entry.timestamp.isoformat(),
                 "revoked": live is RevocationStatus.REVOKED,
                 "mechanism": mechanism.value,
-                "certificate": _cert_to_dict(cert),
+                "certificate": certificate_to_dict(cert),
             }
 
     return write_jsonl(path, rows())
@@ -45,7 +45,7 @@ def load_ct(
     revocations = RevocationRegistry()
     latest = date(1970, 1, 1)
     for row in read_jsonl(path):
-        cert = _cert_from_dict(row["certificate"])
+        cert = certificate_from_dict(row["certificate"])
         logged_at = date.fromisoformat(row["logged_at"])
         latest = max(latest, cert.not_after)
         revocations.set_mechanism(cert.issuer, RevocationMechanism(row["mechanism"]))

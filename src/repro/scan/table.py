@@ -206,17 +206,21 @@ class ScanTable:
         """The row as an :class:`AnnotatedScanRecord`, memoized per row."""
         record = self._rec_cache[row]
         if record is None:
+            # Sparse reads: a few rows of a segment-backed or overlay
+            # table read only the chunks holding them.
+            column = self.sparse_column
+            flags = column("flags")[row]
             record = AnnotatedScanRecord(
-                scan_date=self.interned_date(self.date_ord[row]),
-                ip=self.ips[self.ip_id[row]],
-                ports=self.port_sets[self.ports_id[row]],
-                asn=self.asns[self.asn_id[row]],
-                country=self.countries[self.country_id[row]],
-                certificate=self.certs[self.cert_id[row]],
-                trusted=bool(self.flags[row] & _TRUSTED),
-                sensitive=bool(self.flags[row] & _SENSITIVE),
-                names=self.name_sets[self.names_id[row]],
-                base_domains=self.base_sets[self.bases_id[row]],
+                scan_date=self.interned_date(column("date_ord")[row]),
+                ip=self.ips[column("ip_id")[row]],
+                ports=self.port_sets[column("ports_id")[row]],
+                asn=self.asns[column("asn_id")[row]],
+                country=self.countries[column("country_id")[row]],
+                certificate=self.certs[column("cert_id")[row]],
+                trusted=bool(flags & _TRUSTED),
+                sensitive=bool(flags & _SENSITIVE),
+                names=self.name_sets[column("names_id")[row]],
+                base_domains=self.base_sets[column("bases_id")[row]],
             )
             self._rec_cache[row] = record
         return record
@@ -229,8 +233,7 @@ class ScanTable:
         """The domain's rows, (date, ip)-sorted, as a memoized tuple view."""
         view = self._domain_records.get(domain)
         if view is None:
-            lo, hi = self.domain_slice(domain)
-            view = tuple(self.record(self.csr_rows[i]) for i in range(lo, hi))
+            view = tuple(map(self.record, self.domain_rows(domain)[0]))
             self._domain_records[domain] = view
         return view
 
@@ -292,13 +295,19 @@ class ScanTable:
 
         return sorted_order(getattr(self, name))
 
+    def sparse_column(self, name: str):
+        """Column ``name`` for reads of a few items: the column itself
+        here; a segment-backed table verifies only the chunks read, and
+        an overlay reads a per-row column's root rows in place."""
+        return getattr(self, name)
+
     def trusted(self, row: int) -> bool:
         """The row's browser-trust flag, read straight off the column."""
-        return bool(self.flags[row] & _TRUSTED)
+        return bool(self.sparse_column("flags")[row] & _TRUSTED)
 
     def sensitive(self, row: int) -> bool:
         """The row's sensitive-name flag, read straight off the column."""
-        return bool(self.flags[row] & _SENSITIVE)
+        return bool(self.sparse_column("flags")[row] & _SENSITIVE)
 
     # -- the CSR index ---------------------------------------------------------
 
@@ -338,6 +347,49 @@ class ScanTable:
         left = bisect_left(self.csr_dates, start.toordinal(), lo, hi)
         right = bisect_right(self.csr_dates, end.toordinal(), lo, hi)
         return (left, right)
+
+    def domain_rows(self, domain: str) -> tuple[list[int], list[int]]:
+        """The domain's CSR run: its row ids and their date ordinals,
+        ``(date, ip)``-sorted, read sparsely (see :meth:`subset`)."""
+        index = self.domain_index(domain)
+        if index is None:
+            return [], []
+        offsets = self.sparse_column("csr_off")
+        lo, hi = offsets[index], offsets[index + 1]
+        return (
+            list(self.sparse_column("csr_rows")[lo:hi]),
+            list(self.sparse_column("csr_dates")[lo:hi]),
+        )
+
+    def subset(self, domains: Iterable[str]) -> ScanTable:
+        """A table of just ``domains``' rows that shares this table's
+        pools, so every interned id is unchanged.
+
+        A domain's deployment encoding reads only its own rows, their
+        pooled values and the scan calendar, so it encodes identically
+        over the subset.  The rows are read sparsely, so a subset of a
+        segment-backed or overlay table copies nothing population-sized.
+        ``ip_ints`` is left empty: no kernel reads it.
+        """
+        small = ScanTable()
+        for pool, _ in _INTERNED:
+            setattr(small, pool, getattr(self, pool))
+        small.certs = self.certs
+        small.id_tuples = self.id_tuples
+        small.domains = tuple(sorted(set(domains)))
+        small._dom_index = {d: i for i, d in enumerate(small.domains)}
+        columns = [(getattr(small, name), self.sparse_column(name)) for name in _ROW_COLUMNS]
+        for domain in small.domains:
+            rows, dates = self.domain_rows(domain)
+            for target, source in columns:
+                target.extend(source[row] for row in rows)
+            small.csr_dates.extend(dates)
+            small.dom_dates.extend(sorted(set(dates)))
+            small.csr_off.append(len(small.csr_dates))
+            small.dom_dates_off.append(len(small.dom_dates))
+        small.csr_rows = array("I", range(len(small.csr_dates)))
+        small._rec_cache = [None] * len(small.csr_rows)
+        return small
 
     def distinct_dates_in(self, domain: str, start: date, end: date) -> int:
         """How many distinct scan dates show the domain inside the window."""
@@ -567,13 +619,18 @@ class _TableBuilder:
     ) -> None:
         table = self.table
         table.date_ord.append(date_ordinal)
+        # A new value gets the next id: its side-table entry appends to
+        # whatever holds the values past the interner's base (an epoch
+        # overlay's tail holds only those).
+        n_ips = len(self._ips.values)
         ip_id = self._ips.intern(ip)
-        if ip_id == len(table.ip_ints):
+        if ip_id == n_ips:
             table.ip_ints.append(_best_effort_ip_int(ip))
         table.ip_id.append(ip_id)
         table.asn_id.append(self._asns.intern(asn))
+        n_certs = len(self._certs.values)
         cert_id = self._certs.intern(certificate.fingerprint)
-        if cert_id == len(table.certs):
+        if cert_id == n_certs:
             table.certs.append(certificate)
         table.cert_id.append(cert_id)
         table.country_id.append(self._countries.intern(country))

@@ -1,10 +1,11 @@
-"""On-disk table segments: the ``repro-segment/2`` memory-mapped format.
+"""On-disk table segments: the ``repro-segment/3`` memory-mapped format.
 
 The three evidence tables (scan, pDNS, CT) serialize their typed-array
 columns, interned pools, and prebuilt CSR indexes into segment files
 that reopen via ``mmap``.  Opening a file checks its header; each blob
-carries its own checksum and verifies on its first read, so a run pays
-for the bytes it reads, while :func:`verify_segment` checks every byte.
+carries one checksum per fixed-size chunk, and a read verifies the
+chunks it covers, so a run pays for the bytes it reads, while
+:func:`verify_segment` checks every byte.
 A segment-backed table pickles as its path alone, so process-pool
 workers attach to the mapping instead of receiving a copied dataset —
 the no-fork-CoW, spawn-safe data plane the shard scheduler in

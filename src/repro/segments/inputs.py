@@ -1,7 +1,7 @@
 """Whole-input-bundle segment directories.
 
 ``write_segments`` lays a :class:`~repro.core.pipeline.PipelineInputs`
-bundle into one directory of ``repro-segment/2`` files::
+bundle into one directory of ``repro-segment/3`` files::
 
     scan.seg    the annotated scan table + its calendar
     pdns.seg    the aggregated passive-DNS table

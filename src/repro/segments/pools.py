@@ -5,7 +5,12 @@ cannot afford to materialize a million strings (or tuples of strings) in
 every process that maps it.  These sequence views decode one item per
 ``__getitem__`` straight off the mapping and deliberately do *not*
 memoize — a decoded value is transient, so iterating the whole pool
-costs allocations but never resident set.
+costs allocations but never resident set.  Over a segment they read
+through range reads (:meth:`repro.segments.format.Segment.items`), so a
+read verifies only the chunks holding the item and ``len()`` of a
+multi-chunk pool reads nothing.  Certificates are the one memoized pool
+(:class:`CertPool`): each entry decodes once, so one id stays one
+object.
 
 Pool ids are first-seen-order positions, identical to the in-RAM build,
 so a segment-backed table and its in-RAM twin agree on every interned
@@ -27,6 +32,7 @@ entries as slices of the encoded buffers (:func:`block_bytes`).
 
 from __future__ import annotations
 
+import json
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
@@ -35,6 +41,7 @@ from operator import lt, sub
 from typing import Any
 
 from repro.segments.format import Segment, SegmentWriter
+from repro.tls.certificate import certificate_from_dict, certificate_to_dict
 
 
 class StrPool(Sequence):
@@ -58,8 +65,9 @@ class StrPool(Sequence):
         return str(self._blob[lo:hi], "utf-8")
 
     def __iter__(self):
-        blob = self._blob
-        offsets = self._offsets
+        # One range read per stream, then item reads off the views.
+        offsets = self._offsets[0 : len(self._offsets)]
+        blob = self._blob[0 : len(self._blob)]
         for i in range(len(self)):
             yield str(blob[offsets[i] : offsets[i + 1]], "utf-8")
 
@@ -105,6 +113,30 @@ class TupleIntPool(Sequence):
             index += len(self)
         lo, hi = self._bounds[index], self._bounds[index + 1]
         return tuple(self._values[lo:hi])
+
+
+class CertPool(Sequence):
+    """Lazy ``list[Certificate]`` over a :class:`StrPool` of canonical
+    JSON certificate dicts, each decoded once on first use."""
+
+    __slots__ = ("_json", "_memo")
+
+    def __init__(self, encoded: StrPool) -> None:
+        self._json = encoded
+        self._memo: dict[int, Any] = {}
+
+    def __len__(self) -> int:
+        return len(self._json)
+
+    def __getitem__(self, index: int):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        if index < 0:
+            index += len(self)
+        cert = self._memo.get(index)
+        if cert is None:
+            cert = self._memo[index] = certificate_from_dict(json.loads(self._json[index]))
+        return cert
 
 
 class SortedPoolIndex:
@@ -264,7 +296,9 @@ class MergedSortedPool(Sequence):
 #                    values) + the flattened values as ``<name>.val``
 #                    in the ``str`` encoding;
 # * ``tuple_int`` -- ``<name>.idx`` + ``<name>.val`` (int64 values);
-# * ``int``       -- ``<name>`` (one int64 per entry).
+# * ``int``       -- ``<name>`` (one int64 per entry);
+# * ``cert``      -- each certificate's canonical JSON dict, in the
+#                    ``str`` encoding.
 
 
 def _offsets(lengths) -> array:
@@ -277,6 +311,16 @@ def encode_pool(values, kind: str):
     if kind == "str":
         encoded = [value.encode("utf-8") for value in values]
         return StrPool(_offsets(map(len, encoded)), b"".join(encoded))
+    if kind == "cert":
+        return CertPool(
+            encode_pool(
+                (
+                    json.dumps(certificate_to_dict(cert), sort_keys=True, separators=(",", ":"))
+                    for cert in values
+                ),
+                "str",
+            )
+        )
     items = list(values)
     if kind == "int":
         return array("q", items)
@@ -291,7 +335,9 @@ def encode_pool(values, kind: str):
 
 def write_pool(writer: SegmentWriter, name: str, view) -> None:
     """Add an encoded pool's blobs (see :func:`encode_pool`)."""
-    if isinstance(view, StrPool):
+    if isinstance(view, CertPool):
+        write_pool(writer, name, view._json)
+    elif isinstance(view, StrPool):
         writer.add_array(f"{name}.off", view._offsets)
         writer.add_bytes(f"{name}.dat", view._blob)
     elif isinstance(view, TupleStrPool):
@@ -305,16 +351,19 @@ def write_pool(writer: SegmentWriter, name: str, view) -> None:
 
 
 def read_pool(segment: Segment, name: str, kind: str):
-    """The lazy view of one pool a segment stores in encoding ``kind``."""
+    """The lazy view of one pool a segment stores in encoding ``kind``;
+    every read goes through range reads."""
     if kind == "str":
-        return StrPool(segment.array(f"{name}.off"), segment.blob(f"{name}.dat"))
+        return StrPool(segment.items(f"{name}.off"), segment.items(f"{name}.dat"))
+    if kind == "cert":
+        return CertPool(read_pool(segment, name, "str"))
     if kind == "tuple_str":
         return TupleStrPool(
-            segment.array(f"{name}.idx"), read_pool(segment, f"{name}.val", "str")
+            segment.items(f"{name}.idx"), read_pool(segment, f"{name}.val", "str")
         )
     if kind == "tuple_int":
-        return TupleIntPool(segment.array(f"{name}.idx"), segment.array(f"{name}.val"))
-    return segment.array(name)
+        return TupleIntPool(segment.items(f"{name}.idx"), segment.items(f"{name}.val"))
+    return segment.items(name)
 
 
 def _lengths(offsets, lo: int, hi: int) -> array:
@@ -349,13 +398,14 @@ def block_bytes(pool, lo: int, hi: int, kind: str) -> list:
         ]
     if isinstance(pool, TupleIntPool):
         bounds = pool._bounds
-        return [_lengths(bounds, lo, hi), memoryview(pool._values)[bounds[lo] : bounds[hi]]]
+        return [_lengths(bounds, lo, hi), pool._values[bounds[lo] : bounds[hi]]]
     if kind == "int" and not isinstance(pool, (list, tuple)):
-        return [memoryview(pool)[lo:hi]]
+        return [pool[lo:hi]]
     return block_bytes(encode_pool(pool[lo:hi], kind), 0, hi - lo, kind)
 
 
 __all__: list[Any] = [
+    "CertPool",
     "ExtendedPool",
     "MergedSortedPool",
     "SortedPoolIndex",

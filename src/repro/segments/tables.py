@@ -1,24 +1,29 @@
 """Segment writers and mmap-backed openers for the three evidence tables.
 
 Each writer lays an indexed table's typed-array columns and prebuilt CSR
-indexes into one ``repro-segment/2`` file; each opener returns a table
+indexes into one ``repro-segment/3`` file; each opener returns a table
 *subclass* whose columns are zero-copy views over the mapping.  The
 openers change storage, never semantics: interned ids, CSR slices, and
 every query kernel match the in-RAM build byte for byte (the
 differential property suite pins this).
 
 Opening a table views no column: each blob-backed attribute resolves on
-first access, and the segment verifies a blob's checksum the first time
-it hands it out, so a warm hunt verifies the few pools it decodes, an
-epoch merge the blobs it copies, and a pool worker the columns its
-kernel reads.
+first access (:class:`LazyAttributes`).  A column attribute is a dense
+view, so the segment verifies every chunk of it then; a pool is a lazy
+view whose reads verify only the chunks they touch, and
+:meth:`SegmentScanTable.sparse_column` reads a column the same way (row
+records and the shortlist's evidence rows read through it).  A warm
+hunt verifies the pool chunks it decodes, an epoch merge the chunks
+holding the rows and pool entries the delta meets, and a pool worker
+the columns its kernel binds.
 
 Pool strategy differs per table by population size:
 
-* **scan** — the million-domain table.  String and tuple pools stay on
-  disk behind lazy views (:mod:`repro.segments.pools`), and the
-  ``{domain: position}`` index becomes a bisect over the sorted domain
-  pool, so a worker's resident set is O(touched values), not O(table).
+* **scan** — the million-domain table.  Every pool, certificates
+  included, stays on disk behind a lazy view (:mod:`repro.segments.pools`),
+  and the ``{domain: position}`` index becomes a bisect over the sorted
+  domain pool, so a worker's resident set is O(touched values), not
+  O(table).
   Each interned pool that is not already sorted stores its sorted-order
   permutation as ``<pool>.ord`` (the header's ``sorted_pools`` names
   the ones that are), so an epoch overlay finds a value's id by
@@ -71,8 +76,8 @@ _SCAN_ARRAYS = (
 )
 
 #: Scan pools stored in their segment encodings: the digested pools plus
-#: the sorted domain pool.
-_SCAN_POOLS = ScanTable.digest_pools + (("domains", "str"),)
+#: the sorted domain pool and the certificates.
+_SCAN_POOLS = ScanTable.digest_pools + (("domains", "str"), ("certs", "cert"))
 
 _PDNS_ARRAYS = (
     "rrname_id",
@@ -179,31 +184,25 @@ def write_scan_table(
             writer.add_array(f"{name}.ord", order)
     for name, view in pools.items():
         write_pool(writer, name, view)
-    writer.add_pickle("certs", list(table.certs))
     return writer.write(path)
 
 
-class _SegmentTable:
-    """What the segment-backed tables share: opening views no blob.
+class LazyAttributes:
+    """Attributes that resolve on first access and stay from then on.
 
-    Each blob-backed attribute named in the class's ``_LAZY`` resolves
-    on first access (:meth:`__getattr__`) and is an ordinary attribute
-    from then on, so a reader views, and the segment verifies, only the
-    blobs it touches.  Pickles as its path: a pool worker reopens the
-    map instead of receiving a copy.
+    ``_LAZY`` maps each name to a resolver of the instance; the first
+    read of the name stores what its resolver returns (a resolver that
+    computes several attributes together may store its siblings too).
+    Construction drops the base class's defaults for those names, which
+    would otherwise shadow :meth:`__getattr__`.
     """
 
-    _TABLE = ""
     _LAZY: dict[str, Callable[[Any], Any]] = {}
 
-    def __init__(self, segment: Segment) -> None:
-        _expect_table(segment, self._TABLE)
+    def __init__(self) -> None:
         super().__init__()
-        # The in-RAM table's empty defaults would shadow __getattr__.
         for name in self._LAZY:
             self.__dict__.pop(name, None)
-        self.segment = segment
-        _seed_blocks(self, segment)
 
     def __getattr__(self, name: str) -> Any:
         resolve = type(self)._LAZY.get(name)
@@ -214,6 +213,24 @@ class _SegmentTable:
         value = resolve(self)
         setattr(self, name, value)
         return value
+
+
+class _SegmentTable(LazyAttributes):
+    """What the segment-backed tables share: opening views no blob.
+
+    Each blob-backed attribute named in the class's ``_LAZY`` resolves
+    on first access, so a reader views, and the segment verifies, only
+    the blobs it touches.  Pickles as its path: a pool worker reopens
+    the map instead of receiving a copy.
+    """
+
+    _TABLE = ""
+
+    def __init__(self, segment: Segment) -> None:
+        _expect_table(segment, self._TABLE)
+        super().__init__()
+        self.segment = segment
+        _seed_blocks(self, segment)
 
     @classmethod
     def open(cls, path: str | Path):
@@ -232,7 +249,7 @@ class SegmentScanTable(_SegmentTable, ScanTable):
 
     Pools are lazy views; the domain index is a bisect over the sorted
     on-disk domain pool, and :meth:`pool_index` bisects through each
-    pool's stored order.
+    pool's stored order, read through range reads like the pools.
     """
 
     _TABLE = "scan"
@@ -242,15 +259,26 @@ class SegmentScanTable(_SegmentTable, ScanTable):
             name: (lambda table, name=name, kind=kind: read_pool(table.segment, name, kind))
             for name, kind in _SCAN_POOLS
         },
-        "certs": lambda table: table.segment.pickle("certs"),
         "_dom_index": lambda table: SortedPoolIndex(table.domains),
-        "_rec_cache": lambda table: [None] * table.segment.meta["n_rows"],
+        "_rec_cache": lambda table: [None] * len(table),
+        "_sparse": lambda table: {},
     }
+
+    def __len__(self) -> int:
+        return self.segment.meta["n_rows"]
+
+    def sparse_column(self, name: str):
+        column = self.__dict__.get(name)
+        if column is None:
+            column = self._sparse.get(name)
+            if column is None:
+                column = self._sparse[name] = self.segment.items(name)
+        return column
 
     def _pool_order(self, name: str):
         if name in self.segment.meta.get("sorted_pools", ()):
             return None
-        return self.segment.array(f"{name}.ord")
+        return self.segment.items(f"{name}.ord")
 
 
 open_scan_table = SegmentScanTable.open

@@ -14,6 +14,7 @@ import hashlib
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from enum import Enum
+from typing import Any
 
 
 class ValidationLevel(Enum):
@@ -105,4 +106,34 @@ def rollover_of(cert: Certificate, serial: int, overlap_days: int = 14) -> Certi
         validation=cert.validation,
         crtsh_id=0,
         key_id=cert.key_id + 1,
+    )
+
+
+def certificate_to_dict(cert: Certificate) -> dict[str, Any]:
+    """The certificate as a JSON-safe dict (its fingerprint is derived)."""
+    return {
+        "serial": cert.serial,
+        "cn": cert.common_name,
+        "sans": list(cert.sans),
+        "issuer": cert.issuer,
+        "not_before": cert.not_before.isoformat(),
+        "not_after": cert.not_after.isoformat(),
+        "validation": cert.validation.name,
+        "crtsh_id": cert.crtsh_id,
+        "key_id": cert.key_id,
+    }
+
+
+def certificate_from_dict(data: dict[str, Any]) -> Certificate:
+    """The certificate :func:`certificate_to_dict` describes."""
+    return Certificate(
+        serial=data["serial"],
+        common_name=data["cn"],
+        sans=tuple(data["sans"]),
+        issuer=data["issuer"],
+        not_before=date.fromisoformat(data["not_before"]),
+        not_after=date.fromisoformat(data["not_after"]),
+        validation=ValidationLevel[data["validation"]],
+        crtsh_id=data["crtsh_id"],
+        key_id=data["key_id"],
     )

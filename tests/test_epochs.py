@@ -439,13 +439,10 @@ class TestRunEpoch:
         assert metrics.epoch["seeded"] is True
         assert encode_report(report) == _cold_text(world, delta)
 
-    def test_seeds_from_banked_shard_products(self, tmp_path):
-        # An interrupted base run leaves per-shard products plus a
-        # resume manifest; the epoch engine must stitch them (holes
-        # recomputed) instead of demanding a completed stage entry.
-        world = _world()
-        delta = _delta(world)
-        cache = StageCache(tmp_path)
+    @staticmethod
+    def _bank_shard_products(world, cache: StageCache, n_shards: int, hole: int) -> None:
+        """Bank what an interrupted base run leaves: per-shard products
+        of every shard but ``hole``, recorded in a resume manifest."""
         plan = FaultPlan.from_spec(None)
         config = PipelineConfig()
         stage = build_stages()[0]
@@ -461,8 +458,6 @@ class TestRunEpoch:
             for name in domains
         ]
         manifest = ResumeManifest(cache.root)
-        n_shards = 4
-        hole = 2
         for ordinal in range(n_shards):
             if ordinal == hole:
                 continue
@@ -476,6 +471,18 @@ class TestRunEpoch:
                 {"results": encoded[lo:hi]},
             )
             manifest.record(base_fp, "deployment", n, n_shards, ordinal, key)
+
+    def test_seeds_from_banked_shard_products(self, tmp_path):
+        # An interrupted base run leaves per-shard products plus a
+        # resume manifest; the epoch engine must stitch them (holes
+        # recomputed) instead of demanding a completed stage entry.
+        world = _world()
+        delta = _delta(world)
+        cache = StageCache(tmp_path)
+        n = len(world.scan.domains())
+        n_shards = 4
+        hole = 2
+        self._bank_shard_products(world, cache, n_shards, hole)
         report, metrics, _dirty = run_epoch(world, delta, cache=cache)
         assert metrics.epoch["seeded"] is True
         _assert_partition(metrics, _population(world, delta))
@@ -483,6 +490,31 @@ class TestRunEpoch:
         # The hole's quarter recomputes; the three banked shards reuse.
         assert 0 < reused <= n - (hole + 1) * n // n_shards + hole * n // n_shards
         assert encode_report(report) == _cold_text(world, delta)
+
+    @pytest.mark.parametrize("source", ["stage-entry", "shard-products"])
+    def test_seeding_copies_nothing_from_the_base(self, tmp_path, monkeypatch, source):
+        # Both seeding sources re-encode over a table of the dirty
+        # domains' rows, so the merged overlay never copies the base's
+        # columns or splices its CSR arrays.
+        from repro.segments import overlay
+
+        world = _world()
+        delta = _delta(world)
+        expected = _cold_text(world, delta)
+        cache = StageCache(tmp_path)
+        if source == "stage-entry":
+            HijackPipeline(world).profile(cache=cache)
+        else:
+            self._bank_shard_products(world, cache, n_shards=4, hole=2)
+
+        def copied(*args):
+            raise AssertionError("the merged overlay copied its base")
+
+        monkeypatch.setattr(overlay, "_copy_array", copied)
+        monkeypatch.setattr(overlay, "_splice_index", copied)
+        report, metrics, _dirty = run_epoch(world, delta, cache=cache)
+        assert metrics.epoch["seeded"] is True
+        assert encode_report(report) == expected
 
     def test_segment_backed_bundle(self, tmp_path):
         from repro.segments.inputs import load_segment_inputs

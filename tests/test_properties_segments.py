@@ -12,8 +12,9 @@ The corruption classes pin the other half of the format contract: a
 truncated or bit-flipped segment raises a *typed* ``SegmentError``
 (usually the ``SegmentChecksumError`` subclass) — never garbage rows,
 never a downstream unpickling crash.  Truncation and header damage fail
-the open; a flipped blob fails its first read; ``verify_segment`` fails
-on any of them, padding included.
+the open; a flipped blob fails the first read that covers the flipped
+chunk (a flip in its chunk digests fails every read of it);
+``verify_segment`` fails on any of them, padding included.
 """
 
 from datetime import date, timedelta
@@ -41,7 +42,9 @@ from repro.segments import (
     write_pdns_table,
     write_scan_table,
 )
-from repro.segments.format import MAGIC
+from repro.segments import format as segment_format
+from repro.segments.format import CHUNK_BYTES, MAGIC
+from repro.world.scale import scale_world
 from repro.tls.certificate import Certificate
 
 from tests.helpers import ALL_PERIODS, ScanSketch, make_cert, scan_dates
@@ -351,7 +354,8 @@ class TestCorruptionDetection:
         with pytest.raises(SegmentChecksumError):
             verify_segment(flipped)
 
-        # Either the open fails, or exactly the blob holding the flip does.
+        # Either the open fails, or exactly the blob holding the flip in
+        # its bytes or its chunk digests does.
         try:
             reopened = Segment.open(flipped)
         except SegmentError:
@@ -359,7 +363,8 @@ class TestCorruptionDetection:
         else:
             for spec in specs:
                 lo, hi = spec["offset"], spec["offset"] + spec["length"]
-                if lo <= position < hi:
+                digests = spec["digests"]
+                if lo <= position < hi or digests <= position < digests + 32 * spec["chunks"]:
                     with pytest.raises(SegmentChecksumError):
                         reopened.blob(spec["name"])
                 else:
@@ -414,6 +419,20 @@ class TestCorruptionDetection:
                 reader(old)
             assert not isinstance(caught.value, SegmentChecksumError)
 
+    def test_version_2_file_is_refused(self, tmp_path):
+        """A ``repro-segment/2`` file (one checksum per blob) is refused
+        with the same advice, segment or banked delta alike."""
+        dataset = _dataset_from([(0, 0, 0, 5, 0)])
+        path = tmp_path / "scan.seg"
+        write_scan_table(dataset.table, path, scan_dates=dataset.scan_dates)
+        blob = path.read_bytes()
+        old = tmp_path / "old.seg"
+        old.write_bytes(b"repro-segment/2\n" + blob[len(MAGIC):])
+        for reader in (open_scan_table, verify_segment, read_delta):
+            with pytest.raises(SegmentError, match="rewrite") as caught:
+                reader(old)
+            assert not isinstance(caught.value, SegmentChecksumError)
+
     @settings(max_examples=20, deadline=None)
     @given(_history, st.data())
     def test_truncation_raises_typed_error(self, tmp_path_factory, history, data):
@@ -451,3 +470,91 @@ class TestCorruptionDetection:
             open_pdns_table(path)
         with pytest.raises(SegmentError):
             open_ct_table(path)
+
+
+# -- the chunk contract ----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def chunked(tmp_path_factory):
+    """A scan segment whose row columns and domain pool span several
+    chunks."""
+    path = tmp_path_factory.mktemp("chunked") / "scan.seg"
+    write_scan_table(scale_world(6_000, seed=0).scan.table, path)
+    return path
+
+
+def _chunk_flip(path, name: str, chunk: int):
+    """A copy of the segment with one byte flipped inside chunk
+    ``chunk`` of blob ``name``."""
+    segment = Segment.open(path)
+    spec = segment.spec(name)
+    segment.close()
+    assert spec["chunks"] > chunk + 1, spec
+    return _flip(path, spec["offset"] + chunk * CHUNK_BYTES + 5)
+
+
+class TestChunkContract:
+    """A read verifies the chunks it covers: a flip in chunk k fails any
+    read covering k and no read of another chunk; whole reads and
+    ``verify_segment`` fail on it."""
+
+    def test_flipped_column_chunk(self, chunked):
+        flipped = _chunk_flip(chunked, "date_ord", 1)
+        per_chunk = CHUNK_BYTES // 4
+        clean = Segment.open(chunked).array("date_ord")
+        corrupt = Segment.open(flipped)
+        items = corrupt.items("date_ord")
+        with pytest.raises(SegmentChecksumError, match="date_ord"):
+            items[per_chunk + 3]
+        with pytest.raises(SegmentChecksumError, match="date_ord"):
+            items[per_chunk - 2 : per_chunk + 2]
+        assert list(items[0:per_chunk]) == list(clean[0:per_chunk])
+        assert items[2 * per_chunk + 1] == clean[2 * per_chunk + 1]
+        with pytest.raises(SegmentChecksumError, match="date_ord"):
+            corrupt.array("date_ord")
+        with pytest.raises(SegmentChecksumError):
+            verify_segment(flipped)
+
+    def test_flipped_pool_chunk(self, chunked):
+        flipped = _chunk_flip(chunked, "domains.dat", 1)
+        clean = open_scan_table(chunked)
+        corrupt = open_scan_table(flipped)
+        offsets = clean.segment.array("domains.off")
+        inside = next(i for i in range(len(offsets) - 1) if offsets[i] >= CHUNK_BYTES + 8)
+        with pytest.raises(SegmentChecksumError, match="domains.dat"):
+            corrupt.domains[inside]
+        assert corrupt.domains[0] == clean.domains[0]
+        assert corrupt.domains[len(clean.domains) - 1] == clean.domains[len(clean.domains) - 1]
+        with pytest.raises(SegmentChecksumError, match="domains.dat"):
+            corrupt.segment.blob("domains.dat")
+        with pytest.raises(SegmentChecksumError):
+            verify_segment(flipped)
+
+
+def test_pool_lengths_and_a_lookup_read_a_few_chunks(tmp_path, monkeypatch):
+    """On a freshly opened 2x10^4-domain table, ``len()`` of every pool
+    and one domain lookup read a few chunks, not the 0.6 MB domain pool:
+    the population-sized pools' lengths read nothing (a one-chunk pool
+    is verified whole on first use), and the lookup bisects through a
+    few chunks of the domain pool."""
+    path = tmp_path / "scan.seg"
+    write_scan_table(scale_world(20_000, seed=0).scan.table, path)
+    table = open_scan_table(path)
+    read = []
+    pread = segment_format._pread
+
+    def metered(fd, size, offset, at):
+        read.append(size)
+        return pread(fd, size, offset, at)
+
+    monkeypatch.setattr(segment_format, "_pread", metered)
+    assert len(table.domains) == len(table.base_sets) == 20_000
+    assert not read, read
+    for pool in _SCAN_POOLS + ("certs",):
+        assert len(getattr(table, pool)) > 0
+    assert table.domain_index("active-00007.example.com") == 7
+    pool_bytes = sum(
+        table.segment.spec(name)["length"] for name in ("domains.off", "domains.dat")
+    )
+    assert sum(read) <= 16 * CHUNK_BYTES < pool_bytes / 2, (sum(read), len(read))
