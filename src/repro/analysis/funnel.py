@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.pipeline import PipelineReport
-from repro.core.types import PatternKind
 
 #: The paper's population fractions over deployment maps.
 PAPER_FRACTIONS = {
@@ -41,19 +40,18 @@ class ClassificationFractions:
 
 
 def classification_fractions(report: PipelineReport) -> ClassificationFractions:
-    """Measured population fractions over this run's deployment maps."""
-    counts = {kind: 0 for kind in PatternKind}
-    for classification in report.classifications.values():
-        counts[classification.kind] += 1
-    n_maps = sum(counts.values())
+    """Measured population fractions over this run's deployment maps,
+    read off the funnel's kind counts."""
+    funnel = report.funnel
+    n_maps = funnel.n_maps
     if n_maps == 0:
         return ClassificationFractions(0, 0.0, 0.0, 0.0, 0.0)
     return ClassificationFractions(
         n_maps=n_maps,
-        stable=counts[PatternKind.STABLE] / n_maps,
-        transition=counts[PatternKind.TRANSITION] / n_maps,
-        transient=counts[PatternKind.TRANSIENT] / n_maps,
-        noisy=counts[PatternKind.NOISY] / n_maps,
+        stable=funnel.n_stable / n_maps,
+        transition=funnel.n_transition / n_maps,
+        transient=funnel.n_transient / n_maps,
+        noisy=funnel.n_noisy / n_maps,
     )
 
 

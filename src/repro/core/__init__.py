@@ -25,7 +25,6 @@ the paper's Section 4 numbers.
 
 from repro.core.deployment import (
     Deployment,
-    DeploymentGroup,
     DeploymentMap,
     build_domain_maps,
 )
@@ -45,7 +44,6 @@ from repro.core.types import DetectionType, PatternKind, SubPattern, Verdict
 
 __all__ = [
     "Deployment",
-    "DeploymentGroup",
     "DeploymentMap",
     "build_domain_maps",
     "InspectionConfig",

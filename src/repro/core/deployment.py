@@ -33,18 +33,6 @@ from repro.net.timeline import DateInterval, Period
 from repro.scan.dataset import ScanDataset
 
 
-@dataclass(frozen=True, slots=True)
-class DeploymentGroup:
-    """One (domain, scan-date, ASN) cell of observable infrastructure."""
-
-    domain: str
-    scan_date: date
-    asn: int
-    ips: frozenset[str]
-    cert_fingerprints: frozenset[str]
-    countries: frozenset[str]
-
-
 class ContentRun(NamedTuple):
     """Consecutive observations (cells) of one deployment with identical
     content: the dates of the scans that saw it — which may skip scans
@@ -66,9 +54,7 @@ class Deployment:
     however many weeks it spans.  Every view derives from the runs; the
     union views and ``interval`` are cached on first access, since
     classification, the shortlist checks and inspection hit them
-    repeatedly.  ``groups`` expands one :class:`DeploymentGroup` per
-    scan date, as a read-only tuple, on first read; nothing on the hunt
-    path reads it.
+    repeatedly.
     """
 
     domain: str
@@ -109,16 +95,6 @@ class Deployment:
 
     def dates(self) -> tuple[date, ...]:
         return tuple(day for run in self.runs for day in run.dates)
-
-    @cached_property
-    def groups(self) -> tuple[DeploymentGroup, ...]:
-        return tuple(
-            DeploymentGroup(
-                self.domain, day, self.asn, run.ips, run.cert_fingerprints, run.countries
-            )
-            for run in self.runs
-            for day in run.dates
-        )
 
 
 @dataclass

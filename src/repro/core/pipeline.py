@@ -20,10 +20,12 @@ to produce identical :class:`PipelineReport`\\ s.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, fields
+from collections import Counter
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
     from repro.cache.store import StageCache
@@ -39,7 +41,13 @@ from repro.core.inspection import (
     decode_inspection,
     encode_inspection,
 )
-from repro.core.patterns import Classification, PatternConfig, decode_classification
+from repro.core.patterns import (
+    ENCODED_KINDS,
+    Classification,
+    EncodedClassification,
+    PatternConfig,
+    decode_classification,
+)
 from repro.core.pivot import PivotAnalyzer, PivotFinding
 from repro.core.report import DomainFinding, FunnelStats
 from repro.core.shortlist import (
@@ -144,13 +152,90 @@ class PipelineInputs:
         return cls(scan=scan, pdns=pdns, crtsh=crtsh, as2org=as2org, periods=periods)
 
 
+class Classifications(Mapping):
+    """The run's classifications, ``(domain, period.index) ->``
+    :class:`Classification`, kept as the deployment and classify stages'
+    codes: length, iteration order (the stages'), every map's kind and a
+    domain's stable ASNs and countries read the codes.  ``self[key]``
+    decodes that one map and its classification against ``scan``'s
+    table on first read and memoizes it, so a run decodes the maps its
+    funnel reads, not the population.
+    """
+
+    def __init__(
+        self, maps_encoded: list, encoded: list, scan: ScanDataset, periods: tuple[Period, ...]
+    ) -> None:
+        # Classify maps over the deployment stage's list, so the two
+        # products align domain for domain and period for period.
+        self._domains: dict[str, dict[int, tuple]] = {
+            domain: {
+                index: (deployments, codes)
+                for (index, deployments), (_, codes) in zip(maps, per_domain)
+            }
+            for (domain, maps), (_, per_domain) in zip(maps_encoded, encoded)
+        }
+        self._len = sum(map(len, self._domains.values()))
+        self._scan = scan
+        self._periods = {period.index: period for period in periods}
+        self._decoded: dict[tuple[str, int], Classification] = {}
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[tuple[str, int]]:
+        return ((d, index) for d, per in self._domains.items() for index in per)
+
+    def __contains__(self, key: object) -> bool:
+        domain, index = key
+        return index in self._domains.get(domain, ())
+
+    def __getitem__(self, key: tuple[str, int]) -> Classification:
+        classification = self._decoded.get(key)
+        if classification is None:
+            domain, index = key
+            deployments, codes = self._domains[domain][index]
+            [(_, map_)] = decode_domain_maps(
+                domain, [(index, deployments)], self._scan, (self._periods[index],)
+            )
+            classification = self._decoded[key] = decode_classification(map_, codes)
+        return classification
+
+    def encoded_items(self) -> Iterator[tuple[tuple[str, int], EncodedClassification]]:
+        """``(key, EncodedClassification)`` pairs, in iteration order."""
+        for domain, per in self._domains.items():
+            for index, (_, codes) in per.items():
+                yield (domain, index), codes
+
+    def kinds(self) -> dict[tuple[str, int], PatternKind]:
+        """Every map's kind, read off its code."""
+        return {key: ENCODED_KINDS[codes[0]] for key, codes in self.encoded_items()}
+
+    def stable_infrastructure(self, domain: str) -> tuple[tuple[int, ...], tuple[str, ...]]:
+        """The domain's stable ASNs and countries, each in first-seen
+        order over its periods in order (a deployment's countries
+        sorted), read off the stable positions' pool ids."""
+        table = self._scan.table
+        asns: list[int] = []
+        ccs: list[str] = []
+        for _, (deployments, codes) in sorted(self._domains.get(domain, {}).items()):
+            for asn_id, runs in map(deployments.__getitem__, codes[2]):
+                asn = table.asns[asn_id]
+                if asn not in asns:
+                    asns.append(asn)
+                countries = frozenset().union(
+                    *(table.interned_set("countries", run[3]) for run in runs)
+                )
+                ccs.extend(cc for cc in sorted(countries) if cc not in ccs)
+        return tuple(asns), tuple(ccs)
+
+
 @dataclass
 class PipelineReport:
     """Everything the run produced."""
 
     funnel: FunnelStats
     findings: list[DomainFinding]
-    classifications: dict[tuple[str, int], Classification]
+    classifications: Classifications
     shortlist: list[ShortlistEntry]
     inspections: list[InspectionResult]
     pivots: list[PivotFinding]
@@ -189,10 +274,9 @@ class HuntContext(StageContext):
 
     inputs: PipelineInputs
     config: PipelineConfig
-    maps: dict[tuple[str, int], object] = field(default_factory=dict)
     maps_encoded: list = field(default_factory=list)
-    classifications: dict[tuple[str, int], Classification] = field(default_factory=dict)
     classifications_encoded: list = field(default_factory=list)
+    classifications: Classifications | None = None
     shortlist: list[ShortlistEntry] = field(default_factory=list)
     decisions: list[PruneDecision] = field(default_factory=list)
     inspections: list[InspectionResult] = field(default_factory=list)
@@ -210,27 +294,11 @@ class _FindingBuilder:
     """Turns inspection / pivot results into per-domain findings."""
 
     def __init__(
-        self,
-        inputs: PipelineInputs,
-        classifications: dict[tuple[str, int], Classification],
+        self, inputs: PipelineInputs, classifications: Classifications
     ) -> None:
         self._routing = inputs.routing
         self._geo = inputs.geo
-        # One sorted pass over the classification table precomputes every
-        # domain's stable infrastructure: ASNs and countries in first-seen
-        # order over the domain's periods.
-        acc: dict[str, tuple[list[int], list[str]]] = {}
-        for (domain, _), classification in sorted(classifications.items()):
-            asns, ccs = acc.setdefault(domain, ([], []))
-            for deployment in classification.stable:
-                if deployment.asn not in asns:
-                    asns.append(deployment.asn)
-                for cc in sorted(deployment.countries):
-                    if cc not in ccs:
-                        ccs.append(cc)
-        self._infra: dict[str, tuple[tuple[int, ...], tuple[str, ...]]] = {
-            domain: (tuple(asns), tuple(ccs)) for domain, (asns, ccs) in acc.items()
-        }
+        self._classifications = classifications
 
     def _locate_ip(self, ip: str) -> tuple[int | None, str | None]:
         asn = self._routing.lookup(ip) if self._routing else None
@@ -268,7 +336,7 @@ class _FindingBuilder:
             if name != entry.domain and name.endswith("." + entry.domain):
                 subdomain = name[: -(len(entry.domain) + 1)]
 
-        victim_asns, victim_ccs = self._infra.get(entry.domain, ((), ()))
+        victim_asns, victim_ccs = self._classifications.stable_infrastructure(entry.domain)
         return DomainFinding(
             domain=entry.domain,
             provenance=trail_from_inspection(result, self._locate_ip),
@@ -313,7 +381,7 @@ class _FindingBuilder:
             if name.endswith("." + pivot.domain):
                 subdomain = name[: -(len(pivot.domain) + 1)]
 
-        victim_asns, victim_ccs = self._infra.get(pivot.domain, ((), ()))
+        victim_asns, victim_ccs = self._classifications.stable_infrastructure(pivot.domain)
         return DomainFinding(
             domain=pivot.domain,
             provenance=trail_from_pivot(pivot, self._locate_ip),
@@ -347,25 +415,12 @@ class DeploymentMapStage(Stage):
     cache_version = 2  # entries now store the encoded columnar form
     config_deps = ("max_gap_scans",)
 
-    @staticmethod
-    def _decode_all(
-        ctx: HuntContext, encoded_by_domain: list
-    ) -> dict[tuple[str, int], object]:
-        maps: dict[tuple[str, int], object] = {}
-        for domain, encoded in encoded_by_domain:
-            maps.update(
-                decode_domain_maps(
-                    domain, encoded, ctx.inputs.scan, ctx.inputs.periods
-                )
-            )
-        return maps
-
     def run(self, ctx: HuntContext, backend: ExecutionBackend) -> StageStats:
         domains = ctx.inputs.scan.domains()
         # The kernel sweeps domain ordinals (shards pickle as ``range``
-        # slices) and ships the compact int-tuple encoding — pool ids
-        # over the shared scan table, not object graphs; materialize the
-        # map objects here against the parent table.
+        # slices) and ships the compact int-tuple encoding: pool ids over
+        # the shared scan table, not object graphs.  The parent keeps it
+        # encoded; ``Classifications`` decodes a map where one is read.
         per_domain = backend.map("deployment", range(len(domains)))
         # Index the pool only for domains that mapped to something:
         # enumerate keeps the sweep over a million-domain population from
@@ -375,31 +430,35 @@ class DeploymentMapStage(Stage):
             for i, encoded in enumerate(per_domain)
             if encoded
         ]
-        ctx.maps = self._decode_all(ctx, ctx.maps_encoded)
-        n_domains = len({d for d, _ in ctx.maps})
+        stats = deployment_stats(len(domains), ctx.maps_encoded)
         registry = get_registry()
-        registry.set_gauge("deployment.maps", len(ctx.maps))
-        registry.set_gauge("deployment.domains", n_domains)
+        registry.set_gauge("deployment.maps", stats.n_out)
+        registry.set_gauge("deployment.domains", len(ctx.maps_encoded))
         logger.info(
-            "step 1: %d deployment maps over %d domains", len(ctx.maps), n_domains
+            "step 1: %d deployment maps over %d domains",
+            stats.n_out, len(ctx.maps_encoded),
         )
-        return StageStats(
-            n_in=len(domains), n_out=len(ctx.maps), detail={"domains_mapped": n_domains}
-        )
+        return stats
 
     def cache_products(self, ctx: HuntContext) -> dict[str, object]:
         # Entries store the encoded columnar form — the same int-tuple
         # payload the workers shipped — never the map object graphs.
-        # Decoding on a hit resolves pool ids against the restoring
-        # process's table, whose interning is a pure function of the
-        # digested row stream, so ids mean the same thing there.
+        # Decoding resolves pool ids against the restoring process's
+        # table, whose interning is a pure function of the digested row
+        # stream, so ids mean the same thing there.
         return {"encoded_maps": ctx.maps_encoded}
 
     def restore_products(self, ctx: HuntContext, products: dict) -> None:
         ctx.maps_encoded = products["encoded_maps"]
-        if ctx.maps:
-            return  # post-store call: the context already holds the maps
-        ctx.maps = self._decode_all(ctx, ctx.maps_encoded)
+
+
+def deployment_stats(n_domains: int, maps_encoded: list) -> StageStats:
+    """The deployment stage's cardinalities over its encoded product."""
+    return StageStats(
+        n_in=n_domains,
+        n_out=sum(len(maps) for _, maps in maps_encoded),
+        detail={"domains_mapped": len(maps_encoded)},
+    )
 
 
 class ClassificationStage(Stage):
@@ -411,9 +470,9 @@ class ClassificationStage(Stage):
     deployment stage's *encoded* maps — scan-calendar indices and pool
     ids, no object graphs — and its compact
     :data:`~repro.core.patterns.EncodedClassification` wire form doubles
-    as the stage's cache product: a warm run restores the codes and
-    decodes them against the already-restored maps, instead of the old
-    uncacheable reclassify-every-map path.
+    as the stage's cache product.  Either way the context holds the
+    codes behind a :class:`Classifications` mapping, which counts kinds
+    from them and decodes only the maps read.
     """
 
     name = "classify"
@@ -421,47 +480,37 @@ class ClassificationStage(Stage):
     cache_version = 2  # entries now store the encoded columnar form
     config_deps = ("patterns",)
 
-    @staticmethod
-    def _decode_all(
-        ctx: HuntContext, encoded_by_domain: list
-    ) -> dict[tuple[str, int], Classification]:
-        classifications: dict[tuple[str, int], Classification] = {}
-        for domain, per_domain in encoded_by_domain:
-            for period_index, encoded in per_domain:
-                key = (domain, period_index)
-                classifications[key] = decode_classification(ctx.maps[key], encoded)
-        return classifications
-
     def run(self, ctx: HuntContext, backend: ExecutionBackend) -> StageStats:
-        items = ctx.maps_encoded
-        encoded = backend.run_inline("classify", items)
-        ctx.classifications_encoded = [
-            (domain, per_domain)
-            for (domain, _), per_domain in zip(items, encoded)
-        ]
-        ctx.classifications = self._decode_all(ctx, ctx.classifications_encoded)
-        kinds: dict[str, int] = {}
-        for classification in ctx.classifications.values():
-            kinds[classification.kind.name.lower()] = (
-                kinds.get(classification.kind.name.lower(), 0) + 1
-            )
+        encoded = backend.run_inline("classify", ctx.maps_encoded)
+        domains = [domain for domain, _ in ctx.maps_encoded]
+        self.restore_products(ctx, {"encoded": list(zip(domains, encoded))})
+        stats = classify_stats(ctx.classifications_encoded)
         registry = get_registry()
-        for kind, count in kinds.items():
+        for kind, count in stats.detail.items():
             registry.inc(f"classify.{kind}", count)
-        n_transient = kinds.get("transient", 0)
-        logger.info("step 2: %d transient maps", n_transient)
-        return StageStats(
-            n_in=len(ctx.maps), n_out=len(ctx.classifications), detail=kinds
-        )
+        logger.info("step 2: %d transient maps", stats.detail.get("transient", 0))
+        return stats
 
     def cache_products(self, ctx: HuntContext) -> dict[str, object]:
         return {"encoded": ctx.classifications_encoded}
 
     def restore_products(self, ctx: HuntContext, products: dict) -> None:
         ctx.classifications_encoded = products["encoded"]
-        if ctx.classifications:
-            return  # post-store call: the context already holds the objects
-        ctx.classifications = self._decode_all(ctx, ctx.classifications_encoded)
+        ctx.classifications = Classifications(
+            ctx.maps_encoded,
+            ctx.classifications_encoded,
+            ctx.inputs.scan,
+            ctx.inputs.periods,
+        )
+
+
+def classify_stats(encoded: list) -> StageStats:
+    """The classify stage's cardinalities over its encoded product: one
+    classification per map, and each kind's count in first-seen order."""
+    kinds = Counter(
+        ENCODED_KINDS[codes[0]].name.lower() for _, per_domain in encoded for _, codes in per_domain
+    )
+    return StageStats(n_in=kinds.total(), n_out=kinds.total(), detail=dict(kinds))
 
 
 class ShortlistStage(Stage):
@@ -480,12 +529,9 @@ class ShortlistStage(Stage):
         shortlister = Shortlister(
             ctx.inputs.as2org, ctx.inputs.scan, ctx.config.shortlist
         )
-        ctx.shortlist, ctx.decisions = shortlister.evaluate(ctx.classifications)
-        n_transient = sum(
-            1
-            for c in ctx.classifications.values()
-            if c.kind is PatternKind.TRANSIENT
-        )
+        kinds = ctx.classifications.kinds()
+        ctx.shortlist, ctx.decisions = shortlister.evaluate(ctx.classifications, kinds)
+        n_transient = sum(1 for kind in kinds.values() if kind is PatternKind.TRANSIENT)
         pruned: dict[str, int] = {}
         for decision in ctx.decisions:
             if not decision.kept:
@@ -710,17 +756,14 @@ def _funnel_stats(
     classifications, shortlist, decisions, inspections, pivots
 ) -> FunnelStats:
     stats = FunnelStats()
-    stats.n_maps = len(classifications)
-    stats.n_domains = len({d for d, _ in classifications})
-    for classification in classifications.values():
-        if classification.kind is PatternKind.STABLE:
-            stats.n_stable += 1
-        elif classification.kind is PatternKind.TRANSITION:
-            stats.n_transition += 1
-        elif classification.kind is PatternKind.TRANSIENT:
-            stats.n_transient += 1
-        elif classification.kind is PatternKind.NOISY:
-            stats.n_noisy += 1
+    kinds = classifications.kinds()
+    stats.n_maps = len(kinds)
+    stats.n_domains = len({d for d, _ in kinds})
+    counts = Counter(kinds.values())
+    stats.n_stable = counts[PatternKind.STABLE]
+    stats.n_transition = counts[PatternKind.TRANSITION]
+    stats.n_transient = counts[PatternKind.TRANSIENT]
+    stats.n_noisy = counts[PatternKind.NOISY]
     stats.n_shortlisted = len(shortlist)
     stats.n_truly_anomalous = sum(1 for e in shortlist if e.truly_anomalous)
     stats.n_worth_examining = sum(
@@ -749,16 +792,6 @@ def _funnel_stats(
         else:
             stats.n_pivot_ns += 1
     return stats
-
-
-def _funnel_summary(funnel: FunnelStats) -> dict[str, int]:
-    summary = {
-        f.name: getattr(funnel, f.name)
-        for f in fields(FunnelStats)
-        if f.name != "prune_reasons"
-    }
-    summary["n_hijacked"] = funnel.n_hijacked
-    return summary
 
 
 class HijackPipeline:
@@ -885,7 +918,7 @@ class HijackPipeline:
         metrics = executor.execute(ctx)
         report = ctx.report
         assert report is not None
-        metrics.funnel = _funnel_summary(report.funnel)
+        metrics.funnel = report.funnel.counts()
         if ledger is not None:
             record_run(ledger, lambda: self.ledger_record(metrics, report, label))
         return report, metrics

@@ -8,7 +8,7 @@ produce aligned text tables for the examples and benchmark output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date
 
 from repro.core.types import DetectionType, Verdict
@@ -71,6 +71,12 @@ class FunnelStats:
     @property
     def n_hijacked(self) -> int:
         return self.n_t1_hijacked + self.n_t2_hijacked + self.n_t1_star + self.n_pivot_ip + self.n_pivot_ns
+
+    def counts(self) -> dict[str, int]:
+        """Every counter by name, ``n_hijacked`` included."""
+        counts = {f.name: getattr(self, f.name) for f in fields(self)}
+        del counts["prune_reasons"]
+        return {**counts, "n_hijacked": self.n_hijacked}
 
     def fraction(self, count: int) -> float:
         return count / self.n_maps if self.n_maps else 0.0

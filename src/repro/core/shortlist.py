@@ -18,6 +18,7 @@ Four pruning checks, then the keep rule:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -116,22 +117,6 @@ class Shortlister:
             return True  # every scan of the period was lost: cannot judge
         return len(map_.visible_dates) / len(observed) < self._config.min_presence
 
-    @staticmethod
-    def truly_anomalous(
-        domain: str,
-        period_index: int,
-        classifications: dict[tuple[str, int], Classification],
-    ) -> bool:
-        """Stable for the full six-month period before AND after."""
-        before = classifications.get((domain, period_index - 1))
-        after = classifications.get((domain, period_index + 1))
-        return (
-            before is not None
-            and after is not None
-            and before.kind is PatternKind.STABLE
-            and after.kind is PatternKind.STABLE
-        )
-
     # -- the full shortlist --------------------------------------------------
 
     def _transient_rows(
@@ -184,9 +169,17 @@ class Shortlister:
 
     def evaluate(
         self,
-        classifications: dict[tuple[str, int], Classification],
+        classifications: Mapping[tuple[str, int], Classification],
+        kinds: Mapping[tuple[str, int], PatternKind] | None = None,
     ) -> tuple[list[ShortlistEntry], list[PruneDecision]]:
-        """Shortlist every transient deployment across all maps."""
+        """Shortlist every transient deployment across all maps.
+
+        Transients, their chronic runs and their stable neighbours are
+        found from ``kinds`` (by default read off the classifications);
+        only the transient maps are read from ``classifications``.
+        """
+        if kinds is None:
+            kinds = {key: c.kind for key, c in classifications.items()}
         entries: list[ShortlistEntry] = []
         decisions: list[PruneDecision] = []
         table = self._dataset.table
@@ -194,8 +187,8 @@ class Shortlister:
         # One pass indexes every domain's transient periods, so the
         # recurring-transient check never rescans the whole table.
         transient_periods: dict[str, list[int]] = {}
-        for (domain, period_index), classification in classifications.items():
-            if classification.kind is PatternKind.TRANSIENT:
+        for (domain, period_index), kind in kinds.items():
+            if kind is PatternKind.TRANSIENT:
                 transient_periods.setdefault(domain, []).append(period_index)
 
         def chronic(domain: str) -> bool:
@@ -206,9 +199,12 @@ class Shortlister:
                 best = max(best, run)
             return best >= self._config.recurring_periods
 
-        for (domain, period_index), classification in sorted(classifications.items()):
-            if classification.kind is not PatternKind.TRANSIENT:
-                continue
+        for domain, period_index in sorted(
+            (domain, index)
+            for domain, indices in transient_periods.items()
+            for index in indices
+        ):
+            classification = classifications[(domain, period_index)]
 
             def prune(reason: str) -> None:
                 decisions.append(PruneDecision(domain, period_index, False, reason))
@@ -219,6 +215,11 @@ class Shortlister:
             if chronic(domain):
                 prune("recurring-transients")
                 continue
+            # Truly anomalous: stable for the full period before AND after.
+            anomalous = (
+                kinds.get((domain, period_index - 1)) is PatternKind.STABLE
+                and kinds.get((domain, period_index + 1)) is PatternKind.STABLE
+            )
 
             for transient in classification.transients:
                 if self.org_related(classification, transient):
@@ -227,7 +228,6 @@ class Shortlister:
                 if self.same_country(classification, transient):
                     prune("same-country")
                     continue
-                anomalous = self.truly_anomalous(domain, period_index, classifications)
                 rows = self._transient_rows(classification, transient)
                 sensitive = self._sensitive_from_rows(rows)
                 if not sensitive and not anomalous:
@@ -288,11 +288,12 @@ def encode_shortlist(
 
 def decode_shortlist(
     encoded: tuple,
-    classifications: dict[tuple[str, int], Classification],
+    classifications: Mapping[tuple[str, int], Classification],
     dataset: ScanDataset,
 ) -> tuple[list[ShortlistEntry], list[PruneDecision]]:
     """Materialize entries/decisions against the restored upstream
-    classifications and the scan table."""
+    classifications and the scan table: only the entries' own maps are
+    read from ``classifications``."""
     enc_entries, enc_decisions = encoded
     table = dataset.table
     entries: list[ShortlistEntry] = []

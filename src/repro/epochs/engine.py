@@ -19,18 +19,20 @@ carried-over evidence.  The engine makes the epoch the unit of work:
 2. **Schedule** the domains whose deployment encoding the delta can
    change (:func:`compute_dirty_set`): those with appended scan rows,
    plus a flag for an in-period scan-calendar change.
-3. **Seed** the merged run's ``deployment_maps`` cache entry
-   (:func:`run_epoch` via ``_seed_deployment``): clean domains reuse
-   their base encodings verbatim — from the base run's stage entry or,
-   when the base run was interrupted, from its per-shard products and
-   resume manifest — and only dirty domains re-encode, over a table of
-   just their rows (:meth:`ScanTable.subset`).  When seeding declines,
+3. **Seed** the merged run's per-domain stage entries,
+   ``deployment_maps`` and ``classify`` (:func:`run_epoch` via
+   ``_seed_stages``): clean domains reuse their base encodings and
+   classification codes verbatim — from the base run's stage entries
+   or, for the encodings of an interrupted base run, from its per-shard
+   products and resume manifest — and only dirty domains re-encode,
+   over a table of just their rows (:meth:`ScanTable.subset`), and
+   re-classify.  One splice builds both entries.  When seeding declines,
    the merged scan table is materialized once in the parent before the
    executor's full sweep, so forked workers share one copy.  The pipeline
-   then runs normally and finds step 1 already satisfied; downstream
-   stages re-run over the (small) funnel survivors as usual, so a
-   delta's pDNS, CT or shared-infrastructure effects reach the report
-   without being scheduled.
+   then runs normally and finds steps 1 and 2 already satisfied;
+   downstream stages re-run over the (small) funnel survivors as usual,
+   so a delta's pDNS, CT or shared-infrastructure effects reach the
+   report without being scheduled.
 
 Reuse is *sound*, not heuristic, because of three invariants the test
 wall pins:
@@ -41,8 +43,9 @@ wall pins:
 * fault decisions are identity-keyed (:class:`repro.faults.FaultClock`),
   so a base date or row degrades the same way with or without the delta
   appended after it;
-* encodings depend only on the domain's own rows and each period's
-  scan-calendar dates — so a delta that adds an *in-period* scan date
+* encodings, and the classifications computed from them, depend only
+  on the domain's own rows and each period's scan-calendar dates — so
+  a delta that adds an *in-period* scan date
   flips ``calendar_changed`` and the engine skips seeding entirely
   (every encoding's calendar indices shifted), falling back to the
   executor's ordinary full sweep.
@@ -57,15 +60,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
+from repro.core.patterns import classify_domain_encoded, scan_date_ordinals
 from repro.core.pipeline import (
     HijackPipeline,
     PipelineConfig,
     PipelineInputs,
     build_stages,
+    classify_stats,
+    deployment_stats,
 )
 from repro.ct.crtsh import CrtShService
 from repro.ct.log import CTLog
-from repro.exec.metrics import StageStats
 from repro.faults import DataQuality, FaultPlan, apply_faults
 from repro.obs.ledger import record_run
 from repro.pdns.database import PassiveDNSDatabase
@@ -76,11 +81,6 @@ from repro.tls.revocation import RevocationEntry, RevocationRegistry
 if TYPE_CHECKING:
     from repro.cache.store import StageCache
     from repro.epochs.delta import EpochDelta
-
-#: Sentinel for "this base ordinal's encoding is not available" in the
-#: shard-resume reuse path (distinct from an encoding that is empty).
-_MISSING = object()
-
 
 @dataclass(frozen=True)
 class DirtySet:
@@ -203,20 +203,19 @@ def run_epoch(
     Returns ``(report, metrics, dirty)``.  The report is required to be
     byte-identical to a cold :meth:`HijackPipeline.profile` over
     :func:`merge_inputs`'s bundle.  With a cache, the merged run's
-    ``deployment_maps`` entry is pre-seeded from the base run's products
-    (stage entry or per-shard resume products), so the executor's sweep
-    over the full domain population becomes a cache hit and only the
-    dirty domains were re-encoded.  Without a cache the run is simply a
-    cold run over the merged bundle.
+    ``deployment_maps`` and ``classify`` entries are pre-seeded from the
+    base run's products, so the executor finds both satisfied and only
+    the dirty domains were re-encoded and re-classified.  Without a
+    cache the run is simply a cold run over the merged bundle.
 
     The manifest gains an ``epoch`` section, and the run's
     ``metrics["counters"]`` gain ``epoch.domains_dirty`` /
-    ``epoch.domains_reused``.  The two partition ``domains``, the
-    population the deployment stage sweeps after fault degradation: a
-    domain is dirty when this epoch recomputes its deployment encoding
-    and reused when it does not.  A ``ledger`` receives the run's record
-    once both exist, so the counters reach the ledger and the
-    OpenMetrics exposition like any other counter.
+    ``epoch.domains_reused`` and ``classify.domains_recomputed`` /
+    ``classify.domains_reused``.  Each pair partitions ``domains``, the
+    population the deployment stage sweeps after fault degradation, by
+    whether this epoch recomputed the domain's encoding (classification).
+    A ``ledger`` receives the run's record once both exist, so the
+    counters reach the ledger and the OpenMetrics exposition.
     """
     config = config or PipelineConfig()
     plan = faults if isinstance(faults, FaultPlan) else FaultPlan.from_spec(faults)
@@ -226,8 +225,9 @@ def run_epoch(
     n_domains = len(degraded.scan.domains())
     # Without a cache the executor's sweep recomputes every domain.
     seeded, reused, recomputed, reason = False, 0, n_domains, None
+    classify_reused = 0
     if cache is not None:
-        seeded, reused, recomputed, reason = _seed_deployment(
+        seeded, reused, recomputed, reason, classify_reused = _seed_stages(
             inputs, degraded, dirty, plan, config, cache
         )
     if not seeded and recomputed:
@@ -252,48 +252,53 @@ def run_epoch(
     counters = metrics.metrics["counters"]
     counters["epoch.domains_dirty"] = recomputed
     counters["epoch.domains_reused"] = reused
+    counters["classify.domains_recomputed"] = n_domains - classify_reused
+    counters["classify.domains_reused"] = classify_reused
     if ledger is not None:
         record_run(ledger, lambda: pipeline.ledger_record(metrics, report, label))
     return report, metrics, dirty
 
 
-def _seed_deployment(
+def _seed_stages(
     base_inputs: PipelineInputs,
     degraded_merged: PipelineInputs,
     dirty: DirtySet,
     plan: FaultPlan,
     config: PipelineConfig,
     cache: StageCache,
-) -> tuple[bool, int, int, str | None]:
-    """Pre-store the merged run's ``deployment_maps`` entry.
+) -> tuple[bool, int, int, str | None, int]:
+    """Pre-store the merged run's entries of the per-domain stages,
+    ``deployment_maps`` and ``classify``.
 
     Returns ``(seeded, domains_reused, domains_recomputed,
-    reuse_disabled_reason)``; reused plus recomputed is the swept
-    population on every path.  An entry already banked for the merged
-    run reuses every domain.  When seeding is unsound (an in-period
-    calendar change) or impossible (no base products banked), it
-    declines and the executor's ordinary full sweep recomputes
-    everything — slower, never wrong.
+    reuse_disabled_reason, classify_domains_reused)``; reused plus
+    recomputed is the swept population on every path.  An entry already
+    banked for the merged run reuses every domain.  When seeding is
+    unsound (an in-period calendar change) or impossible (no base
+    products banked), it declines and the executor's ordinary full sweep
+    recomputes everything — slower, never wrong.  Classify is seeded too
+    where the base run banked a classify entry, with a cold run's stats.
     """
     from repro.cache.fingerprint import derive_run_key, stage_fingerprint
 
-    stage = build_stages()[0]
-    chain = [(stage.name, stage.cache_version, stage.config_deps)]
+    deploy, classify = build_stages()[:2]
+    chains = [[(deploy.name, deploy.cache_version, deploy.config_deps)]]
+    chains.append(chains[0] + [(classify.name, classify.cache_version, classify.config_deps)])
     merged_domains = degraded_merged.scan.domains()
-    merged_fp = stage_fingerprint(
-        derive_run_key(degraded_merged, plan, config), chain
-    )
-    if cache.get(merged_fp) is not None:
-        return False, len(merged_domains), 0, "already-cached"
+    n_domains = len(merged_domains)
+    merged_key = derive_run_key(degraded_merged, plan, config)
+    merged_fps = [stage_fingerprint(merged_key, chain) for chain in chains]
+    if cache.get(merged_fps[0]) is not None:
+        banked = n_domains if cache.get(merged_fps[1]) is not None else 0
+        return False, n_domains, 0, "already-cached", banked
     if dirty.calendar_changed:
         # Every encoding embeds per-period scan-calendar indices; an
         # in-period date shifts them all, so nothing is reusable.
-        return False, 0, len(merged_domains), "calendar-changed"
+        return False, 0, n_domains, "calendar-changed", 0
 
     degraded_base = apply_faults(base_inputs, plan, DataQuality())
-    base_fp = stage_fingerprint(
-        derive_run_key(degraded_base, plan, config), chain
-    )
+    base_key = derive_run_key(degraded_base, plan, config)
+    base_fps = [stage_fingerprint(base_key, chain) for chain in chains]
     from repro.core.deployment import encode_domain_maps
 
     merged_scan = degraded_merged.scan
@@ -313,88 +318,69 @@ def _seed_deployment(
             for name in names
         }
 
-    entry = cache.get(base_fp)
+    entry = cache.get(base_fps[0])
     if entry is not None:
-        # The base entry lists every non-empty encoding by name (a
-        # domain it omits encoded empty).  Only the dirty domains in the
-        # merged population re-encode, so the splice touches the entry
-        # and the dirty set, never the population.
-        redo = encode(
-            name for name in dirty.scan_direct
-            if merged_scan.table.domain_index(name) is not None
-        )
-        spliced = sorted(
-            [(name, enc) for name, enc in entry.products["encoded_maps"] if name not in redo]
-            + [(name, enc) for name, enc in redo.items() if enc]
-        )
-        recomputed = len(redo)
-        reused = len(merged_domains) - recomputed
+        base_maps, uncovered = entry.products["encoded_maps"], []
     else:
-        seeded = _resume_splice(
-            cache, base_fp, degraded_base.scan.domains(), merged_domains,
-            dirty.scan_direct, encode,
-        )
-        if seeded is None:
-            return False, 0, len(merged_domains), "no-base-products"
-        spliced, reused, recomputed = seeded
-
-    cache.put(
-        merged_fp,
-        stage.name,
-        StageStats(
-            n_in=len(merged_domains),
-            n_out=len(spliced),
-            detail={
-                "domains_mapped": len(spliced),
-                "epoch_domains_reused": reused,
-                "epoch_domains_recomputed": recomputed,
-            },
-        ),
-        {"encoded_maps": spliced},
+        resumed = _resume_products(cache, base_fps[0], degraded_base.scan.domains())
+        if resumed is None:
+            return False, 0, n_domains, "no-base-products", 0
+        base_maps, uncovered = resumed
+    # The base lists every non-empty encoding by name (a domain it omits
+    # encoded empty).  Only the dirty domains in the merged population,
+    # which include every domain the base lacks, and any the base left
+    # uncovered re-encode, so the splice touches the base products and
+    # the dirty set, never the population.
+    redo = encode(
+        {*uncovered}
+        | {name for name in dirty.scan_direct if merged_scan.table.domain_index(name) is not None}
     )
-    return True, reused, recomputed, None
+    maps = _splice(base_maps, redo)
+    recomputed = len(redo)
+    reused = n_domains - recomputed
+    stats = deployment_stats(n_domains, maps)
+    stats.detail.update(epoch_domains_reused=reused, epoch_domains_recomputed=recomputed)
+    cache.put(merged_fps[0], deploy.name, stats, {"encoded_maps": maps})
+
+    # Classification reads only the domain's encoding and the periods'
+    # scan calendar, so a clean domain's base codes stand, and a dirty
+    # one re-classifies from the encoding just recomputed.
+    entry = cache.get(base_fps[1])
+    if entry is None:
+        return True, reused, recomputed, None, 0
+    date_ords = scan_date_ordinals(merged_scan, degraded_merged.periods)
+    codes = _splice(
+        entry.products["encoded"],
+        {
+            name: classify_domain_encoded(encoded, date_ords, config.patterns)
+            for name, encoded in redo.items()
+        },
+    )
+    cache.put(merged_fps[1], classify.name, classify_stats(codes), {"encoded": codes})
+    return True, reused, recomputed, None, reused
 
 
-def _resume_splice(cache, base_fp, base_domains, merged_domains, scan_direct, encode):
-    """``(spliced, reused, recomputed)`` from the per-shard products an
-    interrupted base run banked via its resume manifest, or None.
-
-    Shards that never completed leave their ordinals :data:`_MISSING`,
-    so this walks the merged population: a single forward pointer
-    aligns it with the (sorted) base population, and every domain that
-    is dirty, new or uncovered re-encodes, all in one ``encode`` call.
-    """
-    base_encoded = _resume_products(cache, base_fp, len(base_domains))
-    if base_encoded is None:
-        return None
-    n_base = len(base_domains)
-    aligned: list[tuple[str, Any]] = []
-    j = 0
-    for name in merged_domains:
-        while j < n_base and base_domains[j] < name:
-            j += 1
-        encoded = _MISSING
-        if j < n_base and base_domains[j] == name and name not in scan_direct:
-            encoded = base_encoded[j]
-        aligned.append((name, encoded))
-    redo = encode([name for name, encoded in aligned if encoded is _MISSING])
-    spliced: list[tuple[str, Any]] = []
-    for name, encoded in aligned:
-        if encoded is _MISSING:
-            encoded = redo[name]
-        if encoded:
-            spliced.append((name, encoded))
-    return spliced, len(aligned) - len(redo), len(redo)
+def _splice(base: list, redo: dict[str, Any]) -> list:
+    """A per-domain stage's product for the merged run: ``base``'s
+    ``(domain, product)`` pairs, every domain in ``redo`` replaced by its
+    recomputed product (dropped when that came out empty), in domain
+    order."""
+    return sorted(
+        [(name, product) for name, product in base if name not in redo]
+        + [(name, product) for name, product in redo.items() if product]
+    )
 
 
-def _resume_products(cache: StageCache, base_fp: str, n_base: int) -> list | None:
-    """The per-shard products an interrupted base run banked via its
-    resume manifest, aligned to base ordinals; uncovered ordinals stay
-    :data:`_MISSING`."""
+def _resume_products(cache: StageCache, base_fp: str, base_domains) -> tuple | None:
+    """``(pairs, uncovered)`` from the per-shard products an interrupted
+    base run banked via its resume manifest, or None: the ``(domain,
+    encoding)`` pairs of the banked shards' non-empty encodings, and the
+    domains of the shards it never banked."""
     from repro.cache.resume import ResumeManifest
 
     manifest = ResumeManifest(cache.root)
     data = manifest.load(base_fp)
+    n_base = len(base_domains)
     if not data or data.get("kernel") != "deployment":
         return None
     if int(data.get("n_items", -1)) != n_base:
@@ -405,18 +391,18 @@ def _resume_products(cache: StageCache, base_fp: str, n_base: int) -> list | Non
     n_shards = int(data.get("n_shards", 0))
     if n_shards <= 0:
         return None
-    encoded = [_MISSING] * n_base
-    for ordinal, shard_key in completed.items():
-        shard = cache.get(shard_key)
-        if shard is None:
-            continue
+    pairs: list[tuple[str, Any]] = []
+    uncovered: list[str] = []
+    for ordinal in range(n_shards):
         lo = ordinal * n_base // n_shards
         hi = (ordinal + 1) * n_base // n_shards
-        results = shard.products["results"]
+        shard = cache.get(completed[ordinal]) if ordinal in completed else None
+        results = shard.products["results"] if shard is not None else ()
         if len(results) != hi - lo:
+            uncovered.extend(base_domains[lo:hi])
             continue
-        encoded[lo:hi] = results
-    return encoded
+        pairs.extend((base_domains[lo + k], enc) for k, enc in enumerate(results) if enc)
+    return pairs, uncovered
 
 
 __all__ = ["DirtySet", "compute_dirty_set", "merge_inputs", "run_epoch"]

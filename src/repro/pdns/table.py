@@ -93,7 +93,7 @@ class PdnsTable:
         # -- lazy decode state (never pickled) -------------------------------
         self._name_index: dict[str, int] = {}
         self._dom_index: dict[str, int] = {}
-        self._rec_cache: list[PdnsRecord | None] = []
+        self._rec_cache: dict[int, PdnsRecord] = {}
         self._row_index: dict[tuple[str, RRType, str], int] | None = None
         self._rdata_index: dict[str, list[int]] | None = None
         self._date_cache: dict[int, date] = {}
@@ -117,8 +117,9 @@ class PdnsTable:
     # -- row materialization -------------------------------------------------
 
     def record(self, row: int) -> PdnsRecord:
-        """The row as a :class:`PdnsRecord`, memoized per row."""
-        cached = self._rec_cache[row]
+        """The row as a :class:`PdnsRecord`, memoized per row (the memo
+        holds the rows built, not a slot per row)."""
+        cached = self._rec_cache.get(row)
         if cached is None:
             from repro.pdns.database import PdnsRecord
 
@@ -301,7 +302,8 @@ class PdnsTable:
                 array("I", (interner.intern(pool[column[r]]) for r in rows)),
             )
             setattr(derived, pool_name, interner.values)
-        derived._rec_cache = [self._rec_cache[r] for r in rows]
+        memo = self._rec_cache
+        derived._rec_cache = {new: memo[old] for new, old in enumerate(rows) if old in memo}
         derived._build_index()
         return derived
 
@@ -309,8 +311,6 @@ class PdnsTable:
 
     def _build_index(self) -> None:
         n_rows = len(self.first_ord)
-        if not self._rec_cache:
-            self._rec_cache = [None] * n_rows
         # String-sort ranks, computed once per pool value: per-bucket row
         # sorts compare small ints instead of strings.
         name_rank = {
@@ -405,7 +405,7 @@ class PdnsTable:
         self.__dict__.update(state)
         self._name_index = {name: i for i, name in enumerate(self.names)}
         self._dom_index = {base: i for i, base in enumerate(self.domains)}
-        self._rec_cache = [None] * len(self.first_ord)
+        self._rec_cache = {}
         self._row_index = None
         self._rdata_index = None
         self._date_cache = {}
@@ -428,7 +428,7 @@ class _PdnsTableBuilder:
             record.last_seen.toordinal(),
             record.count,
         )
-        self.table._rec_cache.append(record)
+        self.table._rec_cache[len(self.table.first_ord) - 1] = record
 
     def append_row(
         self,

@@ -157,7 +157,7 @@ class ScanTable:
         self.dom_dates = array("i")   # per domain: unique sorted date ordinals
         self.dom_dates_off = array("I", [0])
         # -- lazy row materialization -----------------------------------------
-        self._rec_cache: list[AnnotatedScanRecord | None] = []
+        self._rec_cache: dict[int, AnnotatedScanRecord] = {}
         self._domain_records: dict[str, tuple[AnnotatedScanRecord, ...]] = {}
         # -- decode memos ------------------------------------------------------
         # Stable deployments repeat the same value sets every scan date,
@@ -186,7 +186,7 @@ class ScanTable:
             builder.append_record(record)
         # The caller's objects *are* the materialized rows: the row API
         # returns them unchanged, so from_records costs no object churn.
-        table._rec_cache = rows
+        table._rec_cache = dict(enumerate(rows))
         builder.finish()
         return table
 
@@ -203,8 +203,9 @@ class ScanTable:
     # -- row materialization ---------------------------------------------------
 
     def record(self, row: int) -> AnnotatedScanRecord:
-        """The row as an :class:`AnnotatedScanRecord`, memoized per row."""
-        record = self._rec_cache[row]
+        """The row as an :class:`AnnotatedScanRecord`, memoized per row
+        (the memo holds the rows built, not a slot per row)."""
+        record = self._rec_cache.get(row)
         if record is None:
             # Sparse reads: a few rows of a segment-backed or overlay
             # table read only the chunks holding them.
@@ -388,7 +389,6 @@ class ScanTable:
             small.csr_off.append(len(small.csr_dates))
             small.dom_dates_off.append(len(small.dom_dates))
         small.csr_rows = array("I", range(len(small.csr_dates)))
-        small._rec_cache = [None] * len(small.csr_rows)
         return small
 
     def distinct_dates_in(self, domain: str, start: date, end: date) -> int:
@@ -403,8 +403,6 @@ class ScanTable:
 
     def _build_index(self) -> None:
         """(Re)build the CSR per-domain index over the current columns."""
-        if not self._rec_cache:
-            self._rec_cache = [None] * len(self.date_ord)
         # Rows of a domain sort by (scan date, ip *string*) — the order
         # the row-at-a-time dataset produced, preserved bit for bit so
         # everything downstream (records_for, evidence, golden reports)
@@ -502,7 +500,8 @@ class ScanTable:
                     setattr(derived, name, array("I", new_pool))
                 else:
                     setattr(derived, name, new_pool)
-        derived._rec_cache = [self._rec_cache[row] for row in rows]
+        memo = self._rec_cache
+        derived._rec_cache = {new: memo[old] for new, old in enumerate(rows) if old in memo}
         derived._build_index()
         return derived
 
@@ -567,7 +566,7 @@ class ScanTable:
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         self.__dict__.update(state)
-        self._rec_cache = [None] * len(self.date_ord)
+        self._rec_cache = {}
         self._domain_records = {}
         self._dom_index = {d: i for i, d in enumerate(self.domains)}
         self._set_cache = {}

@@ -32,8 +32,9 @@ the root's buffers and splicing the re-merged runs in; a pickle
 materializes first, so the wire form is a rebuild's.  Reads of a few
 rows copy nothing: :meth:`~OverlayScanTable.domain_rows` answers from
 the re-merged runs or the root's CSR, and
-:meth:`~OverlayScanTable.sparse_column`, which ``record`` reads, from
-the root's rows or the tail's, and the record memo shares the root's.
+:meth:`~OverlayScanTable.sparse_column` from the root's rows or the
+tail's, and ``record`` builds a root row through the root, whose memo
+keeps it, and a tail row over the overlay's own memo.
 A seeded epoch therefore never materializes: its dirty domains
 re-encode over :meth:`ScanTable.subset`, the funnel reads its
 shortlisted rows sparsely, and the content digest reuses every full
@@ -122,9 +123,8 @@ def _settle(pool: ExtendedPool):
 
 
 class _Rows(Sequence):
-    """Root items then tail items, read and written in place without
-    copying either: an overlay's per-row column (a slice is the bytes of
-    those rows) or its record memo."""
+    """Root items then tail items, read in place without copying either:
+    an overlay's per-row column (a slice is the bytes of those rows)."""
 
     __slots__ = ("_root", "_tail", "_n")
 
@@ -146,12 +146,6 @@ class _Rows(Sequence):
         if index < 0:
             index += len(self)
         return self._root[index] if index < n else self._tail[index - n]
-
-    def __setitem__(self, index: int, value) -> None:
-        if index < self._n:
-            self._root[index] = value
-        else:
-            self._tail[index - self._n] = value
 
 
 def _copied(name: str):
@@ -184,17 +178,15 @@ class OverlayScanTable(LazyAttributes, ScanTable):
     each domain the tail touches to its re-merged CSR run (row ids and
     their date ordinals); ``_added`` maps each name the root lacks to
     how many root names sort before it.  The flat columns, CSR arrays
-    and ``ip_ints`` are copied from the root on first access; the record
-    memo shares the root's.  Row reads through :meth:`sparse_column`,
-    :meth:`domain_rows` and :meth:`record` copy nothing.
+    and ``ip_ints`` are copied from the root on first access.  Row reads
+    through :meth:`sparse_column`, :meth:`domain_rows` and
+    :meth:`record` copy nothing; a root row's record is the root's,
+    memoized there.
     """
 
     _LAZY = {
         **{name: _copied(name) for name in _ROW_COLUMNS + ("ip_ints",)},
         **{name: _spliced(name) for name in _CSR},
-        "_rec_cache": lambda table: _Rows(
-            table._root._rec_cache, [None] * len(table._tail), len(table._root)
-        ),
         "_sparse": lambda table: {},
     }
 
@@ -210,8 +202,7 @@ class OverlayScanTable(LazyAttributes, ScanTable):
 
     def materialize(self) -> None:
         """Resolve every attribute in ``_LAZY`` now: the root's columns,
-        CSR arrays and ``ip_ints`` are copied (the record memo stays a
-        view)."""
+        CSR arrays and ``ip_ints`` are copied."""
         for name in self._LAZY:
             getattr(self, name)
 
@@ -227,6 +218,11 @@ class OverlayScanTable(LazyAttributes, ScanTable):
                 self._root.sparse_column(name), getattr(self._tail, name), len(self._root)
             )
         return column
+
+    def record(self, row: int):
+        if row < len(self._root):
+            return self._root.record(row)
+        return super().record(row)
 
     def domain_rows(self, domain: str) -> tuple[list[int], list[int]]:
         run = self._merged.get(domain)

@@ -260,7 +260,6 @@ class SegmentScanTable(_SegmentTable, ScanTable):
             for name, kind in _SCAN_POOLS
         },
         "_dom_index": lambda table: SortedPoolIndex(table.domains),
-        "_rec_cache": lambda table: [None] * len(table),
         "_sparse": lambda table: {},
     }
 
@@ -321,7 +320,6 @@ class SegmentPdnsTable(_SegmentTable, PdnsTable):
         self.irregular_rows = tuple(pools["irregular_rows"])
         self._name_index = {name: i for i, name in enumerate(self.names)}
         self._dom_index = {base: i for i, base in enumerate(self.domains)}
-        self._rec_cache = [None] * segment.meta["n_rows"]
 
 
 open_pdns_table = SegmentPdnsTable.open

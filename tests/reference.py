@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Iterable
 
-from repro.core.deployment import ContentRun, Deployment, DeploymentGroup, DeploymentMap
+from repro.core.deployment import ContentRun, Deployment, DeploymentMap
 from repro.core.patterns import Classification, PatternConfig, transient_subpattern_of
 from repro.core.shortlist import PruneDecision, ShortlistEntry, Shortlister
 from repro.core.types import PatternKind, SubPattern
@@ -217,6 +217,31 @@ def victim_infra(classifications, domain: str) -> tuple[tuple[int, ...], tuple[s
 # -- step 1: the row-at-a-time deployment map ----------------------------------
 
 
+@dataclass(frozen=True, slots=True)
+class DeploymentGroup:
+    """One (domain, scan-date, ASN) cell of observable infrastructure."""
+
+    domain: str
+    scan_date: date
+    asn: int
+    ips: frozenset[str]
+    cert_fingerprints: frozenset[str]
+    countries: frozenset[str]
+
+
+def groups_of(deployment: Deployment) -> tuple[DeploymentGroup, ...]:
+    """The deployment expanded to one group per scan date: each run's
+    content on every date the run covers."""
+    return tuple(
+        DeploymentGroup(
+            deployment.domain, day, deployment.asn,
+            run.ips, run.cert_fingerprints, run.countries,
+        )
+        for run in deployment.runs
+        for day in run.dates
+    )
+
+
 def _cluster(
     domain: str,
     groups: list[DeploymentGroup],
@@ -311,7 +336,9 @@ def _stable_subpatterns(stable: list[Deployment]) -> list[SubPattern]:
     """Which of Figure 3's shapes does the stable background exhibit?"""
     subpatterns: list[SubPattern] = []
     for deployment in stable:
-        certs_by_date: list[frozenset[str]] = [g.cert_fingerprints for g in deployment.groups]
+        certs_by_date: list[frozenset[str]] = [
+            g.cert_fingerprints for g in groups_of(deployment)
+        ]
         all_certs = deployment.cert_fingerprints
         multi_country = len(deployment.countries) > 1
         if len(all_certs) == 1:
@@ -472,6 +499,23 @@ class ReferenceShortlister(Shortlister):
             run = run + 1 if current == previous + 1 else 1
             best = max(best, run)
         return best >= self._config.recurring_periods
+
+    @staticmethod
+    def truly_anomalous(
+        domain: str,
+        period_index: int,
+        classifications: dict[tuple[str, int], Classification],
+    ) -> bool:
+        """Stable for the full six-month period before AND after, read
+        off the decoded neighbours."""
+        before = classifications.get((domain, period_index - 1))
+        after = classifications.get((domain, period_index + 1))
+        return (
+            before is not None
+            and after is not None
+            and before.kind is PatternKind.STABLE
+            and after.kind is PatternKind.STABLE
+        )
 
     def _transient_records(
         self, classification: Classification, transient: Deployment

@@ -12,9 +12,15 @@ from repro.analysis.certificates import (
     revocation_breakdown,
 )
 from repro.analysis.evaluation import evaluate_report
-from repro.analysis.funnel import PAPER_FRACTIONS, classification_fractions, funnel_rows
+from repro.analysis.funnel import (
+    PAPER_FRACTIONS,
+    ClassificationFractions,
+    classification_fractions,
+    funnel_rows,
+)
 from repro.analysis.observability import observability_stats
 from repro.analysis.sectors import PAPER_TABLE4, format_sector_table, sector_table
+from repro.core.types import PatternKind
 
 
 class TestSectorTable:
@@ -90,6 +96,21 @@ class TestFunnel:
         fractions = classification_fractions(paper_report)
         assert fractions.stable > 0.90
         assert fractions.transient < 0.05
+
+    def test_fractions_read_off_the_funnel_equal_a_walk(self, paper_report):
+        """The seed-7 report's fractions equal counting every decoded
+        classification's kind, the walk they replaced."""
+        counts = {kind: 0 for kind in PatternKind}
+        for classification in paper_report.classifications.values():
+            counts[classification.kind] += 1
+        n_maps = sum(counts.values())
+        assert classification_fractions(paper_report) == ClassificationFractions(
+            n_maps=n_maps,
+            stable=counts[PatternKind.STABLE] / n_maps,
+            transition=counts[PatternKind.TRANSITION] / n_maps,
+            transient=counts[PatternKind.TRANSIENT] / n_maps,
+            noisy=counts[PatternKind.NOISY] / n_maps,
+        )
 
     def test_paper_fractions_reference(self):
         assert abs(sum(PAPER_FRACTIONS.values()) - 0.9993) < 1e-9

@@ -5,16 +5,11 @@ from datetime import date
 
 import pytest
 
-from repro.cache import StageCache
-from repro.core.deployment import DeploymentGroup, build_domain_maps
+from repro.core.deployment import build_domain_maps
 from repro.core.patterns import classify_dataset
-from repro.core.pipeline import DeploymentMapStage, HijackPipeline
-from repro.exec import SerialBackend
-from repro.io.golden import encode_report
-from repro.segments import load_segment_inputs, write_segments
 
 from tests.helpers import PERIOD, ScanSketch, make_cert, scan_dates
-from tests.test_golden_reports import _golden_text, _study
+from tests.reference import groups_of
 
 
 def map_of(sketch: ScanSketch):
@@ -131,7 +126,7 @@ class TestContentRuns:
         )
         (deployment,) = map_of(sketch).deployments
         assert [run.dates for run in deployment.runs] == [dates[:13], dates[13:]]
-        assert deployment.scan_count == len(deployment.groups) == len(dates)
+        assert deployment.scan_count == len(groups_of(deployment)) == len(dates)
 
     def test_short_gap_stays_inside_one_run(self):
         dates = scan_dates()
@@ -150,45 +145,6 @@ class TestContentRuns:
         sketch = ScanSketch("x.gr").presence(dates, "10.0.0.1", 100, "GR", cert)
         (deployment,) = map_of(sketch).deployments
         assert len(deployment.runs) == 1
-        assert isinstance(deployment.groups, tuple)
+        assert isinstance(groups_of(deployment), tuple)
         with pytest.raises(FrozenInstanceError):
-            deployment.groups = []
-
-
-def test_hunts_over_the_paper_bundle_build_no_groups(tmp_path, monkeypatch):
-    """A cold and a warm hunt decode every map without constructing one
-    :class:`DeploymentGroup`: decode allocates per content run, and no
-    stage expands a deployment's ``groups`` view."""
-    write_segments(_study(7).pipeline().inputs, tmp_path / "bundle")
-    constructed = []
-    init = DeploymentGroup.__init__
-
-    def counted(group, *args, **kwargs):
-        constructed.append(1)
-        init(group, *args, **kwargs)
-
-    decoded = []
-    decode_all = DeploymentMapStage._decode_all
-
-    def capturing(ctx, encoded):
-        maps = decode_all(ctx, encoded)
-        decoded.append(maps)
-        return maps
-
-    monkeypatch.setattr(DeploymentGroup, "__init__", counted)
-    monkeypatch.setattr(DeploymentMapStage, "_decode_all", staticmethod(capturing))
-    cache = StageCache(tmp_path / "cache")
-    for temperature in ("cold", "warm"):
-        constructed.clear()
-        decoded.clear()
-        inputs = load_segment_inputs(tmp_path / "bundle")
-        report, metrics = HijackPipeline(inputs).profile(SerialBackend(), cache=cache)
-        assert encode_report(report) == _golden_text(7)
-        assert all(s.cached for s in metrics.stages) == (temperature == "warm")
-        (maps,) = decoded
-        materialized = sum(
-            len(vars(deployment).get("groups", ()))
-            for map_ in maps.values()
-            for deployment in map_.deployments
-        )
-        assert (len(constructed), materialized) == (0, 0), temperature
+            deployment.runs = ()

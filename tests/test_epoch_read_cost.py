@@ -108,3 +108,23 @@ def test_epoch_apply_reads_o_delta_bytes(banked, monkeypatch):
     size = sum(p.stat().st_size for p in segment_paths(banked[SIZES[0]][0]).values())
     assert size > 2 * BOUND
     assert all(count <= BOUND for count in counts.values()), (counts, BOUND)
+
+
+def test_root_record_memo_holds_only_built_records(banked):
+    """The seeded apply's funnel builds the shortlisted transient's
+    records through the overlay, and the root table's memo holds exactly
+    those, not a slot per row.  (Epoch 2: epoch 1's merged run may be
+    banked already.)"""
+    directory, cache = banked[SIZES[0]]
+    inputs = load_segment_inputs(directory)
+    root = inputs.scan.table
+    delta = make_delta(inputs, seed=0, epoch=2)
+    report, metrics, _ = engine.run_epoch(inputs, delta, backend=SerialBackend(), cache=cache)
+    assert metrics.epoch["seeded"], metrics.epoch
+    (entry,) = report.shortlist
+    assert entry.domain == TRANSIENT
+    memo = root._rec_cache
+    assert isinstance(memo, dict)
+    assert sorted(memo) == sorted(entry.transient_rows)
+    assert [memo[row] for row in entry.transient_rows] == entry.transient_records
+    assert len(memo) < len(root)

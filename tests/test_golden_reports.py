@@ -40,6 +40,7 @@ from repro.io.golden import (
     encode_report,
     golden_faults_filename,
     golden_filename,
+    report_digest,
 )
 from repro.world.scenarios import paper_study
 
@@ -78,6 +79,18 @@ def test_golden_files_carry_schema(seed):
 def test_serial_run_matches_golden(seed):
     report = _study(seed).run_pipeline(backend=SerialBackend())
     assert encode_report(report) == _golden_text(seed)
+
+
+#: The seed-7 golden report's ledger digest.  Ledger records compare
+#: digests across runs, so a digest that moves reads as drift against
+#: every older record.
+SEED7_REPORT_DIGEST = "d7ffa22bd309d0ffcd818e3a4d5a89d4"
+
+
+def test_golden_report_digest_is_pinned():
+    report = _study(7).run_pipeline(backend=SerialBackend())
+    assert encode_report(report) == _golden_text(7)
+    assert report_digest(report) == SEED7_REPORT_DIGEST
 
 
 @pytest.mark.parametrize("start_method", START_METHODS)

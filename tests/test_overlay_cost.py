@@ -148,7 +148,7 @@ def test_seed_deployment_cost_is_o_delta(bundles, monkeypatch, tmp_path):
     """Seeding an epoch from the base run's stage entry decodes domain
     names for the dirty set and at most once per entry, never a walk
     over the population, even when the delta adds a domain."""
-    meter = _Meter(monkeypatch, target="_seed_deployment")
+    meter = _Meter(monkeypatch, target="_seed_stages")
     for n, directory in bundles.items():
         cache = StageCache(tmp_path / f"cache-{n}")
         _, base_metrics = HijackPipeline(load_segment_inputs(directory)).profile(

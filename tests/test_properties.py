@@ -19,6 +19,7 @@ from repro.net.timeline import TRANSIENT_MAX_DAYS
 from repro.pdns.database import PassiveDNSDatabase
 
 from tests.helpers import PERIOD, ScanSketch, make_cert, scan_dates
+from tests.reference import groups_of
 
 DATES = scan_dates()
 
@@ -62,7 +63,7 @@ class TestDeploymentInvariants:
         map_ = _classify(sketch).map
         record_cells = {(r.scan_date, r.asn) for r in sketch.records}
         group_cells = {
-            (g.scan_date, g.asn) for d in map_.deployments for g in d.groups
+            (g.scan_date, g.asn) for d in map_.deployments for g in groups_of(d)
         }
         assert group_cells == record_cells
 
@@ -75,7 +76,7 @@ class TestDeploymentInvariants:
             dates = deployment.dates()
             assert list(dates) == sorted(dates)
             assert deployment.first_seen <= deployment.last_seen
-            assert all(g.asn == deployment.asn for g in deployment.groups)
+            assert all(g.asn == deployment.asn for g in groups_of(deployment))
 
     @settings(max_examples=60)
     @given(_history)

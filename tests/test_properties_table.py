@@ -23,7 +23,7 @@ from repro.scan.engine import RawScanObservation
 from repro.tls.truststore import TrustStore
 
 from tests.helpers import ALL_PERIODS, PERIOD, ScanSketch, make_cert, scan_dates
-from tests.reference import build_deployment_map
+from tests.reference import build_deployment_map, groups_of
 
 DATES = scan_dates()
 DOMAINS = ("alpha.com", "beta.org", "gamma.net")
@@ -69,7 +69,7 @@ def _groups_of(map_):
     return [
         [
             (g.domain, g.scan_date, g.asn, g.ips, g.cert_fingerprints, g.countries)
-            for g in deployment.groups
+            for g in groups_of(deployment)
         ]
         for deployment in map_.deployments
     ]
@@ -79,7 +79,7 @@ def _assert_views_match_groups(map_) -> None:
     """Every view a deployment and its map derive from their content runs
     equals the same view computed from the expanded groups."""
     for deployment in map_.deployments:
-        groups = deployment.groups
+        groups = groups_of(deployment)
         dates = tuple(g.scan_date for g in groups)
         assert deployment.first_seen == dates[0]
         assert deployment.last_seen == dates[-1]
@@ -93,7 +93,7 @@ def _assert_views_match_groups(map_) -> None:
         )
         assert deployment.countries == frozenset().union(*(g.countries for g in groups))
     visible = tuple(
-        sorted({g.scan_date for d in map_.deployments for g in d.groups})
+        sorted({g.scan_date for d in map_.deployments for g in groups_of(d)})
     )
     assert map_.visible_dates == visible
     assert map_.presence == len(visible) / len(map_.scan_dates_in_period)
