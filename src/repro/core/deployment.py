@@ -11,14 +11,14 @@ as two events rather than one continuous deployment.
 Maps are built by one columnar kernel in two halves:
 :func:`domain_map_encoder` clusters a domain's deployments directly
 over the dataset's :class:`~repro.scan.table.ScanTable` column slices —
-each period is a bisect-found contiguous CSR slice, cells aggregate
-interned integer ids, and the result is a compact int-tuple *encoded*
-form that worker results and cache entries ship instead of object
-graphs — and :func:`decode_domain_maps` materializes the object maps
-from it, one :class:`ContentRun` per encoded run.
-:func:`build_domain_maps` runs both halves for one domain.
-The row-at-a-time reference algorithm the differential property tests
-compare the kernel against lives in ``tests/reference.py``.
+each period is a bisect-found contiguous CSR slice, clustered one scan
+date at a time, and the result is a compact int-tuple *encoded* form
+that worker results and cache entries ship instead of object graphs —
+and :func:`decode_domain_maps` materializes the object maps from it,
+one :class:`ContentRun` per encoded run.  :func:`build_domain_maps`
+runs both halves for one domain.  The row-at-a-time reference map
+builder and encoder the differential property tests compare against
+live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from repro.net.timeline import DateInterval, Period
@@ -191,15 +192,18 @@ def domain_map_encoder(
     slices, as a function of the domain's ordinal.
 
     Works entirely in interned-id space: the period is a bisect slice of
-    the domain's CSR rows, cells aggregate integer ids, and clustering
-    compares scan-calendar indices.  The slice is date-sorted, so cells
-    are built one scan date at a time with plain-int ASN keys, each
-    ASN's cell sequence comes out date-ordered with no sort, and
-    consecutive cells with identical content collapse into one
-    :data:`EncodedRun` (content tuples are interned, so "identical"
-    is an ``is`` check).  The output is the compact encoded form;
-    :func:`decode_domain_maps` materializes the object maps the rest of
-    the pipeline consumes.
+    the domain's CSR rows, one ``itemgetter`` per column gathers their
+    ``(asn, ip, cert, country)`` id keys, and clustering compares
+    scan-calendar indices.  The date-sorted slice splits by scan date,
+    and the work grows with the changes in the domain's history, not
+    with its rows: a date whose keys equal the previous date's, within
+    ``max_gap_scans`` of it, only appends its scan index to the runs
+    that date extended.  Any other date builds its cells (plain-int ASN
+    keys), interns their contents and advances each ASN's run state in
+    one pass: a gap closes the deployment, new content the run, and
+    equal content (interned, so an ``is`` check) extends it.  The output
+    is the compact encoded form; :func:`decode_domain_maps` materializes
+    the object maps the rest of the pipeline consumes.
 
     The domain is named by its ordinal into ``table.domains`` — the CSR
     row index — so a shard worker sweeping an ordinal range never
@@ -212,10 +216,7 @@ def domain_map_encoder(
     gets none of CPython's attribute-load specialization).
     """
     table = dataset.table
-    asn_id_col = table.asn_id
-    ip_id_col = table.ip_id
-    cert_id_col = table.cert_id
-    country_id_col = table.country_id
+    columns = (table.asn_id, table.ip_id, table.cert_id, table.country_id)
     asns = table.asns
     id_tuples = table.id_tuples
     csr_off = table.csr_off
@@ -242,69 +243,66 @@ def domain_map_encoder(
             hi = bisect_right(csr_dates, end, first, last)
             if lo == hi:
                 continue
-            rows = csr_rows[lo:hi].tolist()
+            n = hi - lo
             ordinals = csr_dates[lo:hi].tolist()
-            # by_asn keys appear in first-appearance order over the slice,
-            # and each ASN's (scan_index, content) cells are date-ordered by
-            # construction.
-            by_asn: dict[int, list[tuple[int, tuple]]] = {}
-            n = len(rows)
-            i = 0
+            get = itemgetter(*csr_rows[lo:hi].tolist())
+            ids = [get(column) for column in columns]
+            # A one-row slice's itemgetter returns the ids themselves.
+            keys = list(zip(*ids)) if n > 1 else [tuple(ids)]
+            # asn_id -> [first scan index, closed runs, open run's scan
+            # indices, open run's content]; the open run's last index is
+            # the ASN's previous scan.
+            state: dict[int, list] = {}
+            deployments: list[tuple[int, int, int, tuple[EncodedRun, ...]]] = []
+            extended: list[list[int]] = []
+            last_keys, last_index, i = None, 0, 0
             while i < n:
                 ordinal = ordinals[i]
+                j = i + 1
+                if j < n and ordinals[j] == ordinal:
+                    j = bisect_right(ordinals, ordinal, j)
                 scan_index = index_of[ordinal]
-                run_cells: dict[int, tuple[set[int], set[int], set[int]]] = {}
-                while i < n and ordinals[i] == ordinal:
-                    row = rows[i]
-                    asn_id = asn_id_col[row]
-                    cell = run_cells.get(asn_id)
+                date_keys = keys[i:j]
+                i = j
+                repeats = date_keys == last_keys and scan_index - last_index <= max_gap_scans
+                last_keys, last_index = date_keys, scan_index
+                if repeats:
+                    for indices in extended:
+                        indices.append(scan_index)
+                    continue
+                cells: dict[int, tuple[set[int], set[int], set[int]]] = {}
+                for asn_id, ip, cert, cc in date_keys:
+                    cell = cells.get(asn_id)
                     if cell is None:
-                        cell = (set(), set(), set())
-                        run_cells[asn_id] = cell
-                    cell[0].add(ip_id_col[row])
-                    cell[1].add(cert_id_col[row])
-                    cell[2].add(country_id_col[row])
-                    i += 1
-                for asn_id, (ips, certs, ccs) in run_cells.items():
+                        cells[asn_id] = ({ip}, {cert}, {cc})
+                    else:
+                        cell[0].add(ip)
+                        cell[1].add(cert)
+                        cell[2].add(cc)
+                extended = []
+                for asn_id, (ips, certs, ccs) in cells.items():
                     content = (
                         _canonical_ids(ips, id_tuples),
                         _canonical_ids(certs, id_tuples),
                         _canonical_ids(ccs, id_tuples),
                     )
                     content = id_tuples.setdefault(content, content)
-                    bucket = by_asn.get(asn_id)
-                    if bucket is None:
-                        by_asn[asn_id] = [(scan_index, content)]
+                    run = state.get(asn_id)
+                    if run is None:
+                        run = state[asn_id] = [scan_index, [], [scan_index], content]
+                    elif scan_index - run[2][-1] > max_gap_scans:
+                        run[1].append((tuple(run[2]),) + run[3])
+                        deployments.append((run[0], asns[asn_id], asn_id, tuple(run[1])))
+                        run[:] = [scan_index, [], [scan_index], content]
+                    elif content is run[3]:
+                        run[2].append(scan_index)
                     else:
-                        bucket.append((scan_index, content))
-
-            # Longitudinal clustering on scan-calendar indices (split an
-            # ASN's date-ordered cells on gaps > max_gap_scans), collapsing
-            # consecutive same-content cells into runs as we go.
-            deployments: list[tuple[int, int, int, tuple[EncodedRun, ...]]] = []
-            for asn_id, cells in by_asn.items():
-                asn = asns[asn_id]
-                first_index, current = cells[0]
-                runs: list[EncodedRun] = []
-                indices = [first_index]
-                previous_index = first_index
-                for scan_index, content in cells[1:]:
-                    if scan_index - previous_index > max_gap_scans:
-                        runs.append((tuple(indices),) + current)
-                        deployments.append((first_index, asn, asn_id, tuple(runs)))
-                        runs = []
-                        indices = [scan_index]
-                        current = content
-                        first_index = scan_index
-                    elif content is current:
-                        indices.append(scan_index)
-                    else:
-                        runs.append((tuple(indices),) + current)
-                        indices = [scan_index]
-                        current = content
-                    previous_index = scan_index
-                runs.append((tuple(indices),) + current)
-                deployments.append((first_index, asn, asn_id, tuple(runs)))
+                        run[1].append((tuple(run[2]),) + run[3])
+                        run[2:] = [[scan_index], content]
+                    extended.append(run[2])
+            for asn_id, (first_index, runs, indices, content) in state.items():
+                runs.append((tuple(indices),) + content)
+                deployments.append((first_index, asns[asn_id], asn_id, tuple(runs)))
             # Deployments order by (first_seen, asn *value*); scan indices
             # are monotone in scan date, so they stand in for first_seen.
             deployments.sort(key=lambda d: (d[0], d[1]))

@@ -93,6 +93,12 @@ class LogRegDetector(Detector):
         self._model = None
 
     def fit(self, study) -> None:
+        try:
+            import numpy  # noqa: F401
+        except ImportError:
+            raise ImportError(
+                "the logreg detector needs numpy: pip install 'repro[baseline]'"
+            ) from None
         from repro.baseline.model import train_baseline
 
         trained = train_baseline(

@@ -299,24 +299,25 @@ def _seed_stages(
     degraded_base = apply_faults(base_inputs, plan, DataQuality())
     base_key = derive_run_key(degraded_base, plan, config)
     base_fps = [stage_fingerprint(base_key, chain) for chain in chains]
-    from repro.core.deployment import encode_domain_maps
+    from repro.core.deployment import domain_map_encoder
 
     merged_scan = degraded_merged.scan
 
     def encode(names) -> dict[str, Any]:
-        # Over a table of just these domains' merged rows: an encoding
-        # reads only its domain's rows and the scan calendar, so it is
-        # the same there, and nothing population-sized is read.
-        names = list(names)
+        # One encoder over a table of just these domains' merged rows: an
+        # encoding reads only its domain's rows and the scan calendar, so
+        # it is the same there, and nothing population-sized is read.
+        # Binding the encoder filters the calendar per period, which a
+        # delta with no scan rows need not pay.
+        if not names:
+            return {}
         scan = ScanDataset.from_table(
             merged_scan.table.subset(names),
             merged_scan.scan_dates,
             merged_scan.known_missing_dates,
         )
-        return {
-            name: encode_domain_maps(scan, name, degraded_merged.periods, config.max_gap_scans)
-            for name in names
-        }
+        encoder = domain_map_encoder(scan, degraded_merged.periods, config.max_gap_scans)
+        return {name: encoder(index) for index, name in enumerate(scan.domains())}
 
     entry = cache.get(base_fps[0])
     if entry is not None:

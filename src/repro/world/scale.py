@@ -173,11 +173,22 @@ def scale_world(
     )
 
 
+def churn_count(n_active: int, fraction: float) -> int:
+    """How many of ``n_active`` domains a delta of ``fraction`` churns:
+    the product floored once float error is absorbed, so
+    ``fraction=k/n_active`` picks k (``3 / 10_000 * 10_000`` is
+    2.9999999999999996), and at least one."""
+    count = int(n_active * fraction)
+    if (count + 1) / n_active <= fraction:
+        count += 1
+    return max(1, min(n_active, count))
+
+
 def make_delta(inputs, *, seed: int = 0, fraction: float = 0.01, epoch: int = 1):
     """A deterministic epoch delta over a scale world.
 
-    Picks ``max(1, n_active * fraction)`` active domains (evenly strided,
-    rotated by ``(seed, epoch)``) and gives each one an epoch of churn:
+    Picks :func:`churn_count` active domains (evenly strided, rotated by
+    ``(seed, epoch)``) and gives each one an epoch of churn:
 
     * a **deployment transition** — a new scan row on the last in-period
       scan date with a fresh IP, rotated ASN, and a delta-specific
@@ -216,7 +227,7 @@ def make_delta(inputs, *, seed: int = 0, fraction: float = 0.01, epoch: int = 1)
             hi = mid
     n_active = lo
 
-    n_pick = max(1, min(n_active, int(n_active * fraction)))
+    n_pick = churn_count(n_active, fraction)
     offset = (seed * 7 + epoch * 3) % n_active
     picked = sorted({(offset + (k * n_active) // n_pick) % n_active for k in range(n_pick)})
 

@@ -20,6 +20,7 @@ evidence channel, by widening ring.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Iterable
@@ -320,6 +321,93 @@ def build_deployment_map(
         deployments=deployments,
         scan_dates_in_period=scan_dates_in_period,
     )
+
+
+def reference_map_encoder(dataset, periods: tuple[Period, ...], max_gap_scans: int = 6):
+    """The encoded maps of a domain ordinal, one row at a time: the loop
+    the per-date kernel replaced.
+
+    Each period's CSR slice is walked row by row into per-date cells of
+    IP, certificate and country id sets, every cell's content is
+    interned through ``table.id_tuples``, and each ASN's date-ordered
+    cells are then split on gaps > ``max_gap_scans`` and collapsed into
+    runs of equal content.  The output is the kernel's encoded form,
+    run boundaries and deployment order included.
+    """
+    table = dataset.table
+    id_tuples = table.id_tuples
+
+    def canonical(ids: set[int]) -> tuple[int, ...]:
+        key = tuple(sorted(ids))
+        return id_tuples.setdefault(key, key)
+
+    windows = [
+        (period.index, period.start.toordinal(), period.end.toordinal(),
+         {d.toordinal(): i for i, d in enumerate(dataset.scan_dates_in(period))})
+        for period in periods
+        if dataset.scan_dates_in(period)
+    ]
+
+    def encode(index: int) -> list:
+        encoded = []
+        first, last = table.csr_off[index], table.csr_off[index + 1]
+        for period_index, start, end, index_of in windows:
+            lo = bisect_left(table.csr_dates, start, first, last)
+            hi = bisect_right(table.csr_dates, end, first, last)
+            if lo == hi:
+                continue
+            rows = table.csr_rows[lo:hi].tolist()
+            ordinals = table.csr_dates[lo:hi].tolist()
+            by_asn: dict[int, list[tuple[int, tuple]]] = {}
+            n = len(rows)
+            i = 0
+            while i < n:
+                ordinal = ordinals[i]
+                scan_index = index_of[ordinal]
+                run_cells: dict[int, tuple[set[int], set[int], set[int]]] = {}
+                while i < n and ordinals[i] == ordinal:
+                    row = rows[i]
+                    cell = run_cells.setdefault(table.asn_id[row], (set(), set(), set()))
+                    cell[0].add(table.ip_id[row])
+                    cell[1].add(table.cert_id[row])
+                    cell[2].add(table.country_id[row])
+                    i += 1
+                for asn_id, sets in run_cells.items():
+                    content = tuple(canonical(ids) for ids in sets)
+                    content = id_tuples.setdefault(content, content)
+                    by_asn.setdefault(asn_id, []).append((scan_index, content))
+
+            deployments = []
+            for asn_id, cells in by_asn.items():
+                asn = table.asns[asn_id]
+                first_index, current = cells[0]
+                runs: list = []
+                indices = [first_index]
+                previous_index = first_index
+                for scan_index, content in cells[1:]:
+                    if scan_index - previous_index > max_gap_scans:
+                        runs.append((tuple(indices),) + current)
+                        deployments.append((first_index, asn, asn_id, tuple(runs)))
+                        runs = []
+                        indices = [scan_index]
+                        current = content
+                        first_index = scan_index
+                    elif content is current:
+                        indices.append(scan_index)
+                    else:
+                        runs.append((tuple(indices),) + current)
+                        indices = [scan_index]
+                        current = content
+                    previous_index = scan_index
+                runs.append((tuple(indices),) + current)
+                deployments.append((first_index, asn, asn_id, tuple(runs)))
+            deployments.sort(key=lambda d: (d[0], d[1]))
+            encoded.append(
+                (period_index, tuple((asn_id, runs) for _, _, asn_id, runs in deployments))
+            )
+        return encoded
+
+    return encode
 
 
 # -- step 2: the object-graph classifier ---------------------------------------

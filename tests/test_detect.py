@@ -121,6 +121,30 @@ def test_logreg_refuses_to_detect_unfitted(small_bundle):
         detector.detect(small_bundle)
 
 
+def test_logreg_fit_names_the_extra_without_numpy(small_study, monkeypatch):
+    # numpy is the `baseline` extra, not a runtime dependency: without
+    # it, fitting says what to install instead of failing mid-import.
+    import sys
+
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    detector = create_detector("logreg")
+    needs = r"^the logreg detector needs numpy: .*repro\[baseline\]"
+    with pytest.raises(ImportError, match=needs) as caught:
+        detector.fit(small_study)
+    assert "\n" not in str(caught.value)
+
+
+def test_hunt_path_imports_no_numpy():
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, repro.cli, repro.core.pipeline, repro.epochs, repro.exec; "
+        "assert 'numpy' not in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
 def test_restrict_inputs_rejects_unknown_channel(small_bundle):
     with pytest.raises(ValueError, match="unknown input channels"):
         restrict_inputs(small_bundle, ("scan", "quantum"))

@@ -43,7 +43,7 @@ from repro.net.names import registered_domain
 from repro.scan.dataset import ScanDataset
 from repro.scan.table import ScanTable
 from repro.segments.format import Segment, SegmentError, SegmentWriter
-from repro.world.scale import make_delta, scale_world
+from repro.world.scale import churn_count, make_delta, scale_world
 
 from tests.reference import reference_dirty_rings
 
@@ -152,6 +152,28 @@ class TestMakeDelta:
         small = _delta(fraction=0.05)
         large = _delta(fraction=0.5)
         assert len(large.scan_rows) > len(small.scan_rows)
+
+    def test_churn_count_picks_k_of_n(self):
+        # fraction=k/n_active picks exactly k, though the float product
+        # can land just below k (3 / 10_000 * 10_000 < 3).
+        for n in (3, 7, 10, 32, 49, 200, 10_000):
+            assert [churn_count(n, k / n) for k in range(1, n + 1)] == list(range(1, n + 1))
+        assert churn_count(32, 0.001) == 1
+
+    @pytest.mark.parametrize(
+        ("n_domains", "n_active", "counts"),
+        [
+            # A default scale world's 200 actives: the benchmark's delta.
+            (200, 200, {0.01: 2, 0.05: 10, 0.1: 20, 0.5: 100}),
+            # This module's world.
+            (160, 32, {0.05: 1, 0.1: 3, 0.5: 16}),
+        ],
+    )
+    def test_delta_churns_the_counted_domains(self, n_domains, n_active, counts):
+        world = _world(n_domains, n_active)
+        for fraction, count in counts.items():
+            delta = make_delta(world, fraction=fraction)
+            assert len({base for row in delta.scan_rows for base in row[7]}) == count
 
     def test_rejects_non_scale_world(self):
         background_only = scale_world(8, n_active=0)
@@ -514,6 +536,30 @@ class TestRunEpoch:
         monkeypatch.setattr(overlay, "_splice_index", copied)
         report, metrics, _dirty = run_epoch(world, delta, cache=cache)
         assert metrics.epoch["seeded"] is True
+        assert encode_report(report) == expected
+
+    def test_seeding_binds_one_encoder(self, tmp_path, monkeypatch):
+        # The dirty domains re-encode in one sweep of one encoder, which
+        # binds the columns and the periods' calendars once.
+        from repro.core import deployment
+
+        world = _world()
+        delta = _delta(world, fraction=0.25)
+        expected = _cold_text(world, delta)
+        cache = StageCache(tmp_path)
+        HijackPipeline(world).profile(cache=cache)
+        built = []
+        encoder = deployment.domain_map_encoder
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return encoder(*args, **kwargs)
+
+        monkeypatch.setattr(deployment, "domain_map_encoder", counted)
+        report, metrics, _dirty = run_epoch(world, delta, cache=cache)
+        assert metrics.epoch["seeded"] is True
+        assert metrics.epoch["domains_dirty"] == 8
+        assert len(built) == 1
         assert encode_report(report) == expected
 
     def test_segment_backed_bundle(self, tmp_path):

@@ -14,6 +14,7 @@ from datetime import date
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.deployment import domain_map_encoder
 from repro.core.patterns import classify_dataset
 from repro.io.datasets import load_scan_dataset, save_scan_dataset
 from repro.net.timeline import DateInterval
@@ -22,8 +23,15 @@ from repro.scan.dataset import ScanDataset
 from repro.scan.engine import RawScanObservation
 from repro.tls.truststore import TrustStore
 
-from tests.helpers import ALL_PERIODS, PERIOD, ScanSketch, make_cert, scan_dates
-from tests.reference import build_deployment_map, groups_of
+from tests.helpers import (
+    ALL_PERIODS,
+    PERIOD,
+    PREV_PERIOD,
+    ScanSketch,
+    make_cert,
+    scan_dates,
+)
+from tests.reference import build_deployment_map, groups_of, reference_map_encoder
 
 DATES = scan_dates()
 DOMAINS = ("alpha.com", "beta.org", "gamma.net")
@@ -65,6 +73,69 @@ def _dataset_from(history) -> ScanDataset:
     return ScanDataset(records, DATES)
 
 
+#: The stepped histories' calendar: two study periods of weekly scans.
+STEP_DATES = scan_dates(PREV_PERIOD) + scan_dates(PERIOD)
+
+
+@st.composite
+def _stepped_histories(draw):
+    """``(max_gap_scans, dataset)``: each domain's history is a list of
+    scan steps, each landing 1, 2, exactly ``max_gap_scans`` or
+    ``max_gap_scans + 1`` scans after the previous one, and either
+    repeating the previous step's rows (``None``) or bringing its own.
+    A row is ``(host, cert)``: host ``h`` is IP ``10.<d>.0.<h + 1>`` in
+    ASN ``1000 + h % 3``, so the ASNs of a multi-row date interleave in
+    IP order, and its country alternates with ``h``."""
+    max_gap = draw(st.integers(min_value=1, max_value=6))
+    rows = st.lists(
+        st.tuples(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=2)),
+        min_size=1,
+        max_size=5,
+    )
+    step = st.tuples(st.sampled_from((1, 1, 2, max_gap, max_gap + 1)), st.none() | rows)
+    records = []
+    for di, domain in enumerate(DOMAINS[: draw(st.integers(min_value=1, max_value=3))]):
+        sketch = ScanSketch(domain)
+        certs = [
+            make_cert(f"www{i}.{domain}", 700 + 10 * di + i, date(2018, 6, 1)) for i in range(3)
+        ]
+        position = draw(st.integers(min_value=0, max_value=8))
+        previous = None
+        for gap, step_rows in draw(st.lists(step, min_size=1, max_size=24)):
+            position += gap
+            if position >= len(STEP_DATES):
+                break
+            previous = previous if step_rows is None else dict.fromkeys(step_rows)
+            for host, cert in previous or ():
+                sketch.presence(
+                    (STEP_DATES[position],),
+                    f"10.{di}.0.{host + 1}",
+                    1000 + host % 3,
+                    "US" if host % 2 == 0 else "DE",
+                    certs[cert],
+                )
+        records.extend(sketch.records)
+    return max_gap, ScanDataset(records, STEP_DATES)
+
+
+def _assert_encodings_match_reference(dataset: ScanDataset, max_gap_scans: int) -> None:
+    """The kernel's encodings equal the row-at-a-time encoder's exactly,
+    and every content tuple is the table's interned one, which is what
+    lets pickle write each content once per worker result and cache
+    entry."""
+    encode = domain_map_encoder(dataset, ALL_PERIODS, max_gap_scans)
+    kernel = [encode(index) for index in range(len(dataset.domains()))]
+    id_tuples = dataset.table.id_tuples
+    for encoded in kernel:
+        for _period_index, deployments in encoded:
+            for _asn_id, runs in deployments:
+                for _indices, *contents in runs:
+                    for ids in contents:
+                        assert id_tuples[ids] is ids
+    reference = reference_map_encoder(dataset, ALL_PERIODS, max_gap_scans)
+    assert kernel == [reference(index) for index in range(len(dataset.domains()))]
+
+
 def _groups_of(map_):
     return [
         [
@@ -104,8 +175,10 @@ class TestKernelEquivalence:
     @given(_history)
     def test_columnar_maps_equal_row_path(self, history):
         """The encoded-then-decoded maps == the row-path oracle, including
-        deployment order and group order."""
+        deployment order and group order, and the encodings themselves ==
+        the row-at-a-time encoder's."""
         dataset = _dataset_from(history)
+        _assert_encodings_match_reference(dataset, 6)
         columnar = {
             key: classification.map
             for key, classification in classify_dataset(dataset, ALL_PERIODS).items()
@@ -123,6 +196,15 @@ class TestKernelEquivalence:
                     domain, records, period, dates_in_period
                 )
                 assert _groups_of(columnar[key]) == _groups_of(oracle)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_stepped_histories())
+    def test_stepped_encodings_equal_row_at_a_time_encoder(self, drawn):
+        """Repeated dates, interleaved multi-row cells and gaps on either
+        side of ``max_gap_scans``: run boundaries, deployment order and
+        interned contents all equal the row-at-a-time encoder's."""
+        max_gap_scans, dataset = drawn
+        _assert_encodings_match_reference(dataset, max_gap_scans)
 
     @settings(max_examples=50, deadline=None)
     @given(_history)

@@ -141,8 +141,7 @@ def test_parent_work_is_survivor_sized(monkeypatch, tmp_path):
         assert encode_report(report) == expected
         counts.take()
 
-        # Half a domain over, so float rounding cannot pick one fewer.
-        delta = make_delta(inputs, seed=0, fraction=(TOUCHED + 0.5) / n, epoch=1)
+        delta = make_delta(inputs, seed=0, fraction=TOUCHED / n, epoch=1)
         report, metrics, dirty = engine.run_epoch(
             inputs, delta, backend=SerialBackend(), cache=cache
         )
