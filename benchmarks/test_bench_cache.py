@@ -90,24 +90,24 @@ def test_probe_overhead_on_forced_miss(benchmark, tmp_path):
     """
     from repro.cache.fingerprint import derive_run_key, stage_fingerprint
     from repro.core.pipeline import PipelineConfig, PipelineInputs, build_stages
+    from repro.exec.stage import fingerprint_chain
 
     study = paper_study(seed=7, n_background=N_BACKGROUND)
     cache = StageCache(tmp_path / "never-filled")
     config = PipelineConfig()
     empty_plan = FaultPlan.from_spec(None)
     stages = build_stages()
+    chain = fingerprint_chain(stages)
 
     def probe_run():
         # Exactly what a cache-enabled run adds: a fresh bundle is
         # built per run, keyed, and every cacheable stage is probed.
         inputs = PipelineInputs.from_study(study)
         run_key = derive_run_key(inputs, empty_plan, config)
-        chain = []
         misses = 0
-        for stage in stages:
-            chain.append((stage.name, stage.cache_version, stage.config_deps))
+        for index, stage in enumerate(stages, start=1):
             if stage.products and cache.get(
-                stage_fingerprint(run_key, chain)
+                stage_fingerprint(run_key, chain[:index])
             ) is None:
                 misses += 1
         return misses

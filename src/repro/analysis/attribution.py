@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 
-import networkx as nx
-
 from repro.core.report import DomainFinding
 
 
@@ -48,18 +46,33 @@ def _infra_nodes(finding: DomainFinding) -> list[str]:
     return nodes
 
 
+def _components(findings: list[DomainFinding]) -> list[list[str]]:
+    """Connected components of the victim-infrastructure graph, by
+    union-find over victim nodes and their IP and nameserver nodes."""
+    parent: dict[str, str] = {}
+
+    def root(node: str) -> str:
+        parent.setdefault(node, node)
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]  # path halving
+            node = parent[node]
+        return node
+
+    for finding in findings:
+        victim = root(f"victim:{finding.domain}")
+        for node in _infra_nodes(finding):
+            parent[root(node)] = victim  # victim stays a root
+    components: dict[str, list[str]] = {}
+    for node in parent:
+        components.setdefault(root(node), []).append(node)
+    return list(components.values())
+
+
 def cluster_campaigns(findings: list[DomainFinding]) -> list[CampaignCluster]:
     """Connected components over the victim-infrastructure graph."""
-    graph = nx.Graph()
-    for finding in findings:
-        victim_node = f"victim:{finding.domain}"
-        graph.add_node(victim_node)
-        for node in _infra_nodes(finding):
-            graph.add_edge(victim_node, node)
-
     by_domain = {f.domain: f for f in findings}
     clusters: list[CampaignCluster] = []
-    for component in nx.connected_components(graph):
+    for component in _components(findings):
         domains = sorted(
             node.split(":", 1)[1] for node in component if node.startswith("victim:")
         )

@@ -5,10 +5,12 @@ with one changed input — recompute the same stage results over and over.
 This package makes repeat runs cache loads instead:
 
 * ``fingerprint`` — canonical content digests of everything that can
-  change a stage's output (input bundle, fault plan, configuration,
+  change a stage's output (input channels, fault plan, configuration,
   stage code versions), composed into per-stage fingerprints through the
-  :func:`repro.io.golden.canonical_json` encoder.  Fingerprints are
-  independent of dict ordering and of the execution backend.
+  :func:`repro.io.golden.canonical_json` encoder; a stage's fingerprint
+  folds only the input channels and config fields its chain reads.
+  Fingerprints are independent of dict ordering and of the execution
+  backend.
 * ``store`` — :class:`StageCache`, the checksummed on-disk store those
   fingerprints address.  Corrupt entries are detected, evicted, and
   recomputed; writes are atomic.
@@ -23,11 +25,13 @@ the golden files.
 from repro.cache.fingerprint import (
     BLOCK_ROWS,
     CACHE_SALT,
+    INPUT_CHANNELS,
     RunKey,
     block_digests,
     config_digest,
     derive_run_key,
     extended_block_digests,
+    input_digests,
     inputs_digest,
     jsonable,
     plan_digest,
@@ -47,11 +51,13 @@ from repro.cache.store import (
 __all__ = [
     "BLOCK_ROWS",
     "CACHE_SALT",
+    "INPUT_CHANNELS",
     "RunKey",
     "block_digests",
     "config_digest",
     "derive_run_key",
     "extended_block_digests",
+    "input_digests",
     "inputs_digest",
     "jsonable",
     "plan_digest",

@@ -9,7 +9,10 @@ stage up to and including the one being keyed.  All of that is folded
 into one :func:`stage_fingerprint` through the
 :func:`repro.io.golden.canonical_json` encoder, so fingerprints are
 independent of dict insertion order, of the execution backend, and of
-the process that computed them.
+the process that computed them.  Of the inputs and the configuration,
+a fingerprint folds only what its stage chain declares it reads: the
+digests of its input channels (``Stage.input_deps``) and of its config
+fields (``Stage.config_deps``).
 
 The input digest is *content*-addressed, not object-addressed: each
 evidence table is hashed as bytes — its per-row columns and its value
@@ -317,43 +320,66 @@ def _ct_header(crtsh) -> Any:
     )
 
 
-def inputs_digest(inputs: PipelineInputs) -> str:
-    """Content digest of everything the pipeline stages consume.
+#: The input channels of a bundle, in the order :func:`inputs_digest`
+#: folds them; a stage names the ones it reads in ``Stage.input_deps``.
+INPUT_CHANNELS = ("scan", "pdns", "ct", "as2org", "periods", "routing", "geo")
 
-    Fault-degraded bundles digest the *degraded* content, so dataset
-    faults change the key without any special-casing here.  Component
-    digests are memoized on the dataset objects (see
-    :func:`_memo_digest`), and the combined digest on the bundle, so
-    repeat runs over the same study pay the content hashing once.
+
+def _periods_rows(periods) -> list[dict[str, Any]]:
+    return [
+        {"index": p.index, "start": p.start.isoformat(), "end": p.end.isoformat()}
+        for p in periods
+    ]
+
+
+def input_digests(inputs: PipelineInputs) -> tuple[tuple[str, str | None], ...]:
+    """One ``(channel, content digest)`` pair per :data:`INPUT_CHANNELS`
+    entry (None for an absent routing or geo table).
+
+    The evidence tables digest as blocks plus header
+    (:func:`_channel_digest`), the context datasets as in
+    :func:`context_digests`, and the periods as their canonical rows.
+    Component digests are memoized on the datasets and the tuple on the
+    bundle, so repeat runs over the same study pay the hashing once.
     """
-    cached = getattr(inputs, "_repro_inputs_digest", None)
+    cached = getattr(inputs, "_repro_input_digests", None)
     if cached is not None:
         return cached
-    hasher = _Hasher()
-    hasher.feed("scan", _channel_digest(inputs.scan, "scan", _scan_header))
-    # pDNS rows are the aggregates in canonical (rrname, rtype, rdata)
-    # order, so the table alone is the database's content.
-    hasher.feed("pdns", _channel_digest(inputs.pdns, "pdns", lambda pdns: None))
-    hasher.feed("ct", _channel_digest(inputs.crtsh, "ct", _ct_header))
     context = context_digests(inputs)
-    hasher.feed("as2org", context["as2org"])
-    hasher.feed(
-        "periods",
-        [
-            {"index": p.index, "start": p.start.isoformat(), "end": p.end.isoformat()}
-            for p in inputs.periods
-        ],
+    periods = canonical_json(_periods_rows(inputs.periods)).encode("utf-8")
+    digests = (
+        ("scan", _channel_digest(inputs.scan, "scan", _scan_header)),
+        # pDNS rows are the aggregates in canonical (rrname, rtype, rdata)
+        # order, so the table alone is the database's content.
+        ("pdns", _channel_digest(inputs.pdns, "pdns", lambda pdns: None)),
+        ("ct", _channel_digest(inputs.crtsh, "ct", _ct_header)),
+        ("as2org", context["as2org"]),
+        ("periods", hashlib.blake2b(periods, digest_size=_PART_BYTES).hexdigest()),
+        ("routing", context["routing"]),
+        ("geo", context["geo"]),
     )
-    hasher.feed("routing", context["routing"])
-    hasher.feed("geo", context["geo"])
-    digest = hasher.hexdigest()
     try:
         # The bundle is a frozen dataclass; memoizing via its __dict__
         # does not affect field equality or downstream pickling.
-        object.__setattr__(inputs, "_repro_inputs_digest", digest)
+        object.__setattr__(inputs, "_repro_input_digests", digests)
     except AttributeError:  # slots-only bundle: recompute every call
         pass
-    return digest
+    return digests
+
+
+def inputs_digest(inputs: PipelineInputs) -> str:
+    """Content digest of everything the pipeline stages consume: one
+    fold over :func:`input_digests`, the periods folded as their rows.
+
+    Fault-degraded bundles digest the *degraded* content, so dataset
+    faults change the key without any special-casing here.  Stage
+    fingerprints fold only the channels a stage's chain reads (see
+    :func:`stage_fingerprint`); this whole-bundle digest names a bundle.
+    """
+    hasher = _Hasher()
+    for name, digest in input_digests(inputs):
+        hasher.feed(name, _periods_rows(inputs.periods) if name == "periods" else digest)
+    return hasher.hexdigest()
 
 
 #: Spec fields that only perturb the *scheduler* — crash/slowdown
@@ -406,15 +432,17 @@ def config_digest(config: Any) -> str:
 class RunKey:
     """The per-run key material every stage fingerprint derives from.
 
-    ``config_fields`` holds one ``(field, digest)`` pair per top-level
-    configuration field, so a stage fingerprint can fold in only the
-    fields that stage (and its upstream chain) actually reads — a sweep
-    over inspection thresholds then still hits the deployment-map
+    ``inputs`` holds one ``(channel, digest)`` pair per input channel
+    (:func:`input_digests`), so a stage fingerprint can fold in only the
+    channels its chain reads — a week of passive DNS then still hits
+    the scan-side stages.  ``config_fields`` likewise holds one
+    ``(field, digest)`` pair per top-level configuration field, so a
+    sweep over inspection thresholds still hits the deployment-map
     entries.  A non-dataclass config digests as the single anonymous
     field ``""``.
     """
 
-    inputs: str
+    inputs: tuple[tuple[str, str | None], ...]
     faults: str
     config_fields: tuple[tuple[str, str], ...]
 
@@ -429,53 +457,69 @@ def derive_run_key(inputs: PipelineInputs, plan: FaultPlan, config: Any) -> RunK
     else:
         config_fields = (("", value_digest(config)),)
     return RunKey(
-        inputs=inputs_digest(inputs),
+        inputs=input_digests(inputs),
         faults=plan_digest(plan),
         config_fields=config_fields,
     )
 
 
-def _config_material(
-    run_key: RunKey, deps: Sequence[str] | None
-) -> list[list[str]]:
-    """The ``[field, digest]`` pairs one chain entry folds in.
-
-    ``deps = None`` is the conservative default: the whole config.  A
-    named dependency that is not a config field is a declaration bug and
-    raises instead of silently under-keying.
-    """
+def _material(
+    kind: str, pairs: Sequence[tuple[str, Any]], deps: Iterable[str] | None
+) -> list[list[Any]]:
+    """The ``[name, digest]`` pairs of ``deps`` among ``pairs``, in
+    ``pairs`` order; every pair when ``deps`` is None (the conservative
+    default).  A named dependency that is not among ``pairs`` is a
+    declaration bug and raises instead of silently under-keying."""
     if deps is None:
-        return [[field, digest] for field, digest in run_key.config_fields]
-    known = dict(run_key.config_fields)
-    missing = [name for name in deps if name not in known]
+        return [[name, digest] for name, digest in pairs]
+    wanted = set(deps)
+    known = [name for name, _ in pairs]
+    missing = sorted(wanted.difference(known))
     if missing:
-        raise ValueError(
-            f"unknown config dependencies {missing!r} "
-            f"(config fields: {sorted(known)})"
-        )
-    return [[name, known[name]] for name in sorted(deps)]
+        raise ValueError(f"unknown {kind} {missing!r} (known: {sorted(known)})")
+    return [[name, digest] for name, digest in pairs if name in wanted]
+
+
+def _input_material(run_key: RunKey, chain) -> list[list[Any]]:
+    """The ``[channel, digest]`` pairs a chain reads: the union of its
+    links' ``input_deps`` (every name checked), or every channel if any
+    link declares none."""
+    deps = [input_deps for *_, input_deps in chain]
+    declared = {channel for d in deps if d is not None for channel in d}
+    material = _material("input channels", run_key.inputs, declared)
+    return _material("input channels", run_key.inputs, None) if None in deps else material
 
 
 def stage_fingerprint(
     run_key: RunKey,
-    chain: Sequence[tuple[str, int, Sequence[str] | None]],
+    chain: Sequence[
+        tuple[str, int, Sequence[str] | None, Sequence[str] | None]
+    ],
 ) -> str:
     """The cache address of one stage's result.
 
-    ``chain`` is the ``(name, cache_version, config_deps)`` of every
-    stage up to and including the one being keyed: a stage's output
-    depends on the whole prefix of the stage list that produced its
-    inputs, so editing (or version-bumping) any earlier stage — or
+    ``chain`` is the ``(name, cache_version, config_deps, input_deps)``
+    of every stage up to and including the one being keyed, as
+    :func:`repro.exec.stage.fingerprint_chain` builds it: a stage's
+    output depends on the whole prefix of the stage list that produced
+    its inputs, so editing (or version-bumping) any earlier stage — or
     changing a config field any stage in the prefix reads — re-keys
-    everything downstream.
+    everything downstream.  Of the inputs, the fingerprint folds the
+    digests of the channels the prefix declares and no others, so a
+    delta confined to other channels leaves it unchanged.
     """
     payload = {
         "salt": CACHE_SALT,
-        "inputs": run_key.inputs,
+        "inputs": _input_material(run_key, chain),
         "faults": run_key.faults,
         "stages": [
-            [name, version, _config_material(run_key, deps)]
-            for name, version, deps in chain
+            [
+                name,
+                version,
+                _material("config dependencies", run_key.config_fields, config_deps),
+                None if input_deps is None else sorted(input_deps),
+            ]
+            for name, version, config_deps, input_deps in chain
         ],
     }
     return hashlib.blake2b(

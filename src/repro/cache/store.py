@@ -96,6 +96,11 @@ class StageCache:
 
     # -- the run-time API ------------------------------------------------------
 
+    def contains(self, fingerprint: str) -> bool:
+        """Whether an entry is stored at ``fingerprint``, read without
+        decoding it (a corrupt one still counts; :meth:`get` evicts it)."""
+        return self._path(fingerprint).is_file()
+
     def get(self, fingerprint: str) -> CacheEntry | None:
         """The entry at ``fingerprint``, or None (miss / corrupt)."""
         path = self._path(fingerprint)

@@ -766,6 +766,11 @@ def _epoch_state(directory: Path) -> dict:
     return data
 
 
+#: The epoch engine's ``reuse_disabled`` reasons under which it reused
+#: nothing.
+_REUSE_OFF = ("calendar-changed", "no-base-products")
+
+
 def _cmd_epoch(args: argparse.Namespace) -> int:
     import json
 
@@ -851,16 +856,15 @@ def _cmd_epoch(args: argparse.Namespace) -> int:
 
     _print_data_quality(metrics)
     stats = metrics.epoch or {}
+    # "already-cached" reused every domain, so only the other reasons
+    # turned reuse off.
+    reason = stats.get("reuse_disabled")
     print(
         f"epoch {delta.epoch} ({delta.label or 'unlabeled'}): "
         f"{stats.get('domains_dirty')} dirty of "
         f"{stats.get('domains', '?')} domains, "
         f"{stats.get('domains_reused', 0)} reused"
-        + (
-            f" (reuse off: {stats['reuse_disabled']})"
-            if stats.get("reuse_disabled")
-            else ""
-        )
+        + (f" (reuse off: {reason})" if reason in _REUSE_OFF else "")
     )
     print()
     print(format_funnel(report.funnel))

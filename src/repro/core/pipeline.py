@@ -414,6 +414,7 @@ class DeploymentMapStage(Stage):
     products = ("maps",)
     cache_version = 2  # entries now store the encoded columnar form
     config_deps = ("max_gap_scans",)
+    input_deps = ("scan", "periods")
 
     def run(self, ctx: HuntContext, backend: ExecutionBackend) -> StageStats:
         domains = ctx.inputs.scan.domains()
@@ -479,6 +480,7 @@ class ClassificationStage(Stage):
     products = ("classifications",)
     cache_version = 2  # entries now store the encoded columnar form
     config_deps = ("patterns",)
+    input_deps = ("scan", "periods")
 
     def run(self, ctx: HuntContext, backend: ExecutionBackend) -> StageStats:
         encoded = backend.run_inline("classify", ctx.maps_encoded)
@@ -524,6 +526,7 @@ class ShortlistStage(Stage):
     products = ("shortlist", "decisions")
     cache_version = 2  # entries now store the encoded columnar form
     config_deps = ("shortlist",)
+    input_deps = ("scan", "periods", "as2org")
 
     def run(self, ctx: HuntContext, backend: ExecutionBackend) -> StageStats:
         shortlister = Shortlister(
@@ -568,6 +571,7 @@ class InspectionStage(Stage):
     products = ("inspections", "confirmed_ips", "confirmed_ns")
     cache_version = 2  # entries now store the encoded columnar form
     config_deps = ("inspection", "enable_t1_star")
+    input_deps = ("pdns", "ct")
 
     def run(self, ctx: HuntContext, backend: ExecutionBackend) -> StageStats:
         # Workers ship each result's compact wire form — pDNS row ids
@@ -644,6 +648,7 @@ class PivotStage(Stage):
     name = "pivot"
     products = ("pivots",)
     config_deps = ("enable_pivot", "inspection")
+    input_deps = ("pdns", "ct")
 
     def run(self, ctx: HuntContext, backend: ExecutionBackend) -> StageStats:
         ctx.pivots = []
@@ -682,6 +687,8 @@ class AssembleStage(Stage):
     name = "assemble"
     products = ("findings",)
     cache_version = 2  # entries store finding rows, not object graphs
+    # input_deps stays None: findings read routing and geo, and with
+    # them every channel.
 
     def run(self, ctx: HuntContext, backend: ExecutionBackend) -> StageStats:
         builder = _FindingBuilder(ctx.inputs, ctx.classifications)

@@ -26,13 +26,18 @@ carried-over evidence.  The engine makes the epoch the unit of work:
    or, for the encodings of an interrupted base run, from its per-shard
    products and resume manifest — and only dirty domains re-encode,
    over a table of just their rows (:meth:`ScanTable.subset`), and
-   re-classify.  One splice builds both entries.  When seeding declines,
-   the merged scan table is materialized once in the parent before the
-   executor's full sweep, so forked workers share one copy.  The pipeline
-   then runs normally and finds steps 1 and 2 already satisfied;
-   downstream stages re-run over the (small) funnel survivors as usual,
-   so a delta's pDNS, CT or shared-infrastructure effects reach the
-   report without being scheduled.
+   re-classify.  One splice builds both entries.  Stage fingerprints
+   fold only the input channels a stage's chain reads
+   (``Stage.input_deps``), so a delta without scan evidence needs no
+   seeding: the base run's scan-side entries are the merged run's, and
+   ``_seed_stages`` finds the deployment entry banked and decodes
+   nothing.  When seeding declines, the merged scan table is
+   materialized once in the parent before the executor's full sweep, so
+   forked workers share one copy.  The pipeline then runs normally and
+   finds steps 1 and 2 already satisfied; downstream stages re-run over
+   the (small) funnel survivors as usual wherever their channels
+   changed, so a delta's pDNS, CT or shared-infrastructure effects reach
+   the report without being scheduled.
 
 Reuse is *sound*, not heuristic, because of three invariants the test
 wall pins:
@@ -71,6 +76,7 @@ from repro.core.pipeline import (
 )
 from repro.ct.crtsh import CrtShService
 from repro.ct.log import CTLog
+from repro.exec.stage import fingerprint_chain
 from repro.faults import DataQuality, FaultPlan, apply_faults
 from repro.obs.ledger import record_run
 from repro.pdns.database import PassiveDNSDatabase
@@ -202,10 +208,14 @@ def run_epoch(
 
     Returns ``(report, metrics, dirty)``.  The report is required to be
     byte-identical to a cold :meth:`HijackPipeline.profile` over
-    :func:`merge_inputs`'s bundle.  With a cache, the merged run's
-    ``deployment_maps`` and ``classify`` entries are pre-seeded from the
-    base run's products, so the executor finds both satisfied and only
-    the dirty domains were re-encoded and re-classified.  Without a
+    :func:`merge_inputs`'s bundle.  With a cache, a delta that carries
+    scan evidence has the merged run's ``deployment_maps`` and
+    ``classify`` entries pre-seeded from the base run's products, so the
+    executor finds both satisfied and only the dirty domains were
+    re-encoded and re-classified.  A delta that carries none (pDNS or
+    CT only) keys the scan-side stages — those two and the shortlist —
+    where the base run banked them, so the executor reads them as they
+    are and re-runs only inspection, the pivot and assembly.  Without a
     cache the run is simply a cold run over the merged bundle.
 
     The manifest gains an ``epoch`` section, and the run's
@@ -213,7 +223,9 @@ def run_epoch(
     ``epoch.domains_reused`` and ``classify.domains_recomputed`` /
     ``classify.domains_reused``.  Each pair partitions ``domains``, the
     population the deployment stage sweeps after fault degradation, by
-    whether this epoch recomputed the domain's encoding (classification).
+    whether this epoch recomputed the domain's encoding (classification)
+    — read off what the executor served from the cache, so a stage it
+    re-ran counts every domain recomputed.
     A ``ledger`` receives the run's record once both exist, so the
     counters reach the ledger and the OpenMetrics exposition.
     """
@@ -223,14 +235,10 @@ def run_epoch(
     dirty = compute_dirty_set(inputs, delta)
     degraded = apply_faults(merged, plan, DataQuality())
     n_domains = len(degraded.scan.domains())
-    # Without a cache the executor's sweep recomputes every domain.
-    seeded, reused, recomputed, reason = False, 0, n_domains, None
-    classify_reused = 0
+    seeding = _Seeding()
     if cache is not None:
-        seeded, reused, recomputed, reason, classify_reused = _seed_stages(
-            inputs, degraded, dirty, plan, config, cache
-        )
-    if not seeded and recomputed:
+        seeding = _seed_stages(inputs, degraded, dirty, plan, config, cache)
+    if seeding.reason != "already-cached" and not seeding.seeded:
         # The executor sweeps the table the faults leave (the merged
         # overlay itself under a plan that spares scans): copy it once
         # here, not once per forked worker.
@@ -238,25 +246,55 @@ def run_epoch(
 
     pipeline = HijackPipeline(merged, config=config, faults=plan)
     report, metrics = pipeline.profile(backend, cache=cache, events=events)
+    # The counters report what the executor served: an entry it read
+    # reuses the domains seeding counted into it (every domain, for an
+    # entry seeding did not store), and a stage it ran — no entry, or
+    # one it could not read — recomputed every domain.
+    cached = {stage.name: stage.cached for stage in metrics.stages}
+
+    def reused_by(stage: str, stored: int | None) -> int:
+        if not cached[stage]:
+            return 0
+        return n_domains if stored is None else stored
+
+    reused = reused_by("deployment_maps", seeding.deployment_reused)
+    classify_reused = reused_by("classify", seeding.classify_reused)
     metrics.epoch = {
         "epoch": delta.epoch,
         "label": delta.label,
         "delta": delta.counts(),
         "domains": n_domains,
-        "domains_dirty": recomputed,
+        "domains_dirty": n_domains - reused,
         "domains_reused": reused,
         "calendar_changed": dirty.calendar_changed,
-        "seeded": seeded,
-        "reuse_disabled": reason,
+        "seeded": seeding.seeded,
+        "reuse_disabled": seeding.reason,
     }
     counters = metrics.metrics["counters"]
-    counters["epoch.domains_dirty"] = recomputed
+    counters["epoch.domains_dirty"] = n_domains - reused
     counters["epoch.domains_reused"] = reused
     counters["classify.domains_recomputed"] = n_domains - classify_reused
     counters["classify.domains_reused"] = classify_reused
     if ledger is not None:
         record_run(ledger, lambda: pipeline.ledger_record(metrics, report, label))
     return report, metrics, dirty
+
+
+@dataclass(frozen=True)
+class _Seeding:
+    """What ``_seed_stages`` did before the executor ran.
+
+    ``reason`` says why it stored nothing (``already-cached``,
+    ``calendar-changed``, ``no-base-products``).  ``deployment_reused``
+    and ``classify_reused`` count the domains whose encoding and
+    classification the entry it stored reused from the base run; None
+    where it stored no entry.
+    """
+
+    seeded: bool = False
+    reason: str | None = None
+    deployment_reused: int | None = None
+    classify_reused: int | None = None
 
 
 def _seed_stages(
@@ -266,42 +304,42 @@ def _seed_stages(
     plan: FaultPlan,
     config: PipelineConfig,
     cache: StageCache,
-) -> tuple[bool, int, int, str | None, int]:
+) -> _Seeding:
     """Pre-store the merged run's entries of the per-domain stages,
     ``deployment_maps`` and ``classify``.
 
-    Returns ``(seeded, domains_reused, domains_recomputed,
-    reuse_disabled_reason, classify_domains_reused)``; reused plus
-    recomputed is the swept population on every path.  An entry already
-    banked for the merged run reuses every domain.  When seeding is
-    unsound (an in-period calendar change) or impossible (no base
-    products banked), it declines and the executor's ordinary full sweep
+    An entry already banked for the merged run is left for the executor
+    to read, undecoded here.  These stages read only the scan and the
+    periods, so a delta that carries no scan evidence (pDNS or CT only)
+    keys them where the base run banked them.  When seeding is unsound
+    (an in-period calendar change) or impossible (no base products
+    banked), it declines and the executor's ordinary full sweep
     recomputes everything — slower, never wrong.  Classify is seeded too
     where the base run banked a classify entry, with a cold run's stats.
     """
     from repro.cache.fingerprint import derive_run_key, stage_fingerprint
 
-    deploy, classify = build_stages()[:2]
-    chains = [[(deploy.name, deploy.cache_version, deploy.config_deps)]]
-    chains.append(chains[0] + [(classify.name, classify.cache_version, classify.config_deps)])
-    merged_domains = degraded_merged.scan.domains()
-    n_domains = len(merged_domains)
+    chain = fingerprint_chain(build_stages()[:2])
     merged_key = derive_run_key(degraded_merged, plan, config)
-    merged_fps = [stage_fingerprint(merged_key, chain) for chain in chains]
-    if cache.get(merged_fps[0]) is not None:
-        banked = n_domains if cache.get(merged_fps[1]) is not None else 0
-        return False, n_domains, 0, "already-cached", banked
+    merged_fps = [stage_fingerprint(merged_key, chain[:k]) for k in (1, 2)]
+    if cache.contains(merged_fps[0]):
+        return _Seeding(reason="already-cached")
     if dirty.calendar_changed:
         # Every encoding embeds per-period scan-calendar indices; an
         # in-period date shifts them all, so nothing is reusable.
-        return False, 0, n_domains, "calendar-changed", 0
+        return _Seeding(reason="calendar-changed")
 
     degraded_base = apply_faults(base_inputs, plan, DataQuality())
     base_key = derive_run_key(degraded_base, plan, config)
-    base_fps = [stage_fingerprint(base_key, chain) for chain in chains]
+    base_fps = [stage_fingerprint(base_key, chain[:k]) for k in (1, 2)]
+    # A delta without scan evidence keys the base entries at the merged
+    # addresses, which hold no deployment entry (just checked) and
+    # whose classify entry, if any, the executor reads itself.
+    shared = base_fps == merged_fps
     from repro.core.deployment import domain_map_encoder
 
     merged_scan = degraded_merged.scan
+    n_domains = len(merged_scan.domains())
 
     def encode(names) -> dict[str, Any]:
         # One encoder over a table of just these domains' merged rows: an
@@ -319,13 +357,13 @@ def _seed_stages(
         encoder = domain_map_encoder(scan, degraded_merged.periods, config.max_gap_scans)
         return {name: encoder(index) for index, name in enumerate(scan.domains())}
 
-    entry = cache.get(base_fps[0])
+    entry = None if shared else cache.get(base_fps[0])
     if entry is not None:
         base_maps, uncovered = entry.products["encoded_maps"], []
     else:
         resumed = _resume_products(cache, base_fps[0], degraded_base.scan.domains())
         if resumed is None:
-            return False, 0, n_domains, "no-base-products", 0
+            return _Seeding(reason="no-base-products")
         base_maps, uncovered = resumed
     # The base lists every non-empty encoding by name (a domain it omits
     # encoded empty).  Only the dirty domains in the merged population,
@@ -341,14 +379,14 @@ def _seed_stages(
     reused = n_domains - recomputed
     stats = deployment_stats(n_domains, maps)
     stats.detail.update(epoch_domains_reused=reused, epoch_domains_recomputed=recomputed)
-    cache.put(merged_fps[0], deploy.name, stats, {"encoded_maps": maps})
+    cache.put(merged_fps[0], chain[0][0], stats, {"encoded_maps": maps})
 
     # Classification reads only the domain's encoding and the periods'
     # scan calendar, so a clean domain's base codes stand, and a dirty
     # one re-classifies from the encoding just recomputed.
-    entry = cache.get(base_fps[1])
+    entry = None if shared else cache.get(base_fps[1])
     if entry is None:
-        return True, reused, recomputed, None, 0
+        return _Seeding(seeded=True, deployment_reused=reused)
     date_ords = scan_date_ordinals(merged_scan, degraded_merged.periods)
     codes = _splice(
         entry.products["encoded"],
@@ -357,8 +395,8 @@ def _seed_stages(
             for name, encoded in redo.items()
         },
     )
-    cache.put(merged_fps[1], classify.name, classify_stats(codes), {"encoded": codes})
-    return True, reused, recomputed, None, reused
+    cache.put(merged_fps[1], chain[1][0], classify_stats(codes), {"encoded": codes})
+    return _Seeding(seeded=True, deployment_reused=reused, classify_reused=reused)
 
 
 def _splice(base: list, redo: dict[str, Any]) -> list:

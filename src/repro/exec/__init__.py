@@ -5,8 +5,9 @@ package separates *what* each stage computes (``Stage`` implementations
 live next to their domain logic in :mod:`repro.core.pipeline`) from
 *how* the work is scheduled:
 
-* ``stage`` — the :class:`Stage` protocol and the shared
-  :class:`StageContext` every stage reads from and writes to.
+* ``stage`` — the :class:`Stage` protocol, the shared
+  :class:`StageContext` every stage reads from and writes to, and
+  :func:`fingerprint_chain`, the stage list's cache key material.
 * ``backends`` — pluggable schedulers: :class:`SerialBackend` runs
   kernels inline; :class:`ProcessPoolBackend` splits the embarrassingly
   parallel fan-outs (deployment mapping, inspection) into contiguous
@@ -33,7 +34,7 @@ from repro.exec.metrics import (
     TaskEvent,
     format_run_metrics,
 )
-from repro.exec.stage import Stage, StageContext
+from repro.exec.stage import Stage, StageContext, fingerprint_chain
 
 __all__ = [
     "ExecutionBackend",
@@ -49,4 +50,5 @@ __all__ = [
     "format_run_metrics",
     "Stage",
     "StageContext",
+    "fingerprint_chain",
 ]

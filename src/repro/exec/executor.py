@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.exec.backends import ExecutionBackend, SerialBackend
 from repro.exec.metrics import RunMetrics
-from repro.exec.stage import Stage, StageContext
+from repro.exec.stage import Stage, StageContext, fingerprint_chain
 from repro.obs.events import NULL_EVENTS, EventSink, stamp
 from repro.obs.memory import MemorySampler
 from repro.obs.metrics import MetricsRegistry, set_registry
@@ -92,10 +92,7 @@ class PipelineExecutor:
             backend=backend.name, jobs=backend.jobs, chunk_size=backend.chunk_size
         )
         evictions_base = cache.counters.evictions if cache is not None else 0
-        # The fingerprint chain: (name, cache_version, config_deps) of
-        # every stage so far.  Uncacheable stages still extend it —
-        # their code shapes downstream products just the same.
-        chain: list[tuple[str, int, tuple[str, ...] | None]] = []
+        chain = fingerprint_chain(self._stages)
         total = len(self._stages)
         run_start = time.perf_counter()
         sampler.start_run()
@@ -128,17 +125,15 @@ class PipelineExecutor:
                 sampler.start_stage()
                 stage_start = time.perf_counter()
                 fingerprint = None
-                if cache is not None:
-                    chain.append((stage.name, stage.cache_version, stage.config_deps))
-                    if stage.products:
-                        fingerprint = self._probe(
-                            cache, chain, stage, ctx, metrics, registry,
-                            stage_start, sampler,
-                        )
-                        if fingerprint is None:
-                            # Cache hit, stage satisfied.
-                            self._emit_stage_finish(metrics, index, total, run_start)
-                            continue
+                if cache is not None and stage.products:
+                    fingerprint = self._probe(
+                        cache, chain[:index], stage, ctx, metrics, registry,
+                        stage_start, sampler,
+                    )
+                    if fingerprint is None:
+                        # Cache hit, stage satisfied.
+                        self._emit_stage_finish(metrics, index, total, run_start)
+                        continue
                 if fingerprint is not None:
                     # Let a sharding backend stream per-shard products
                     # under this stage's fingerprint.

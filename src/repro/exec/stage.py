@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.exec.metrics import StageStats
 from repro.faults.quality import DataQuality
@@ -64,6 +64,14 @@ class Stage(ABC):
     #: config.
     config_deps: tuple[str, ...] | None = None
 
+    #: Input channels (:data:`repro.cache.fingerprint.INPUT_CHANNELS`)
+    #: this stage's computation reads.  Like ``config_deps``, the
+    #: fingerprint folds in only the digests of these (plus those of
+    #: every upstream stage), so a delta confined to other channels —
+    #: a week of passive DNS, say — still hits.  ``None`` — the
+    #: conservative default — reads every channel.
+    input_deps: tuple[str, ...] | None = None
+
     @abstractmethod
     def run(self, ctx: StageContext, backend: ExecutionBackend) -> StageStats:
         """Execute the stage, mutating ``ctx``, and report cardinalities."""
@@ -90,3 +98,24 @@ class Stage(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+#: One link of a fingerprint chain: a stage's ``(name, cache_version,
+#: config_deps, input_deps)``.
+ChainLink = tuple[str, int, tuple[str, ...] | None, tuple[str, ...] | None]
+
+
+def fingerprint_chain(stages: Iterable[Stage]) -> list[ChainLink]:
+    """The fingerprint chain of a stage list, one link per stage.
+
+    The ``i``-th stage's cache address is
+    ``stage_fingerprint(run_key, chain[: i + 1])``
+    (:func:`repro.cache.fingerprint.stage_fingerprint`); uncacheable
+    stages have links too, since their code shapes downstream products
+    just the same.  Every chain is built here, so the key material
+    cannot drift from the stages' declarations.
+    """
+    return [
+        (stage.name, stage.cache_version, stage.config_deps, stage.input_deps)
+        for stage in stages
+    ]

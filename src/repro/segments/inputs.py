@@ -22,8 +22,8 @@ small pickles it loads; every other blob verifies on its first read.
 Each table segment's header stores its content-digest blocks and
 ``aux.seg``'s the context datasets' digests, so the first cache probe
 over a reopened bundle hashes nothing; a segment-backed bundle and its
-in-RAM twin produce the same ``inputs_digest``, so they share cache
-entries and golden reports byte for byte.
+in-RAM twin produce the same per-channel ``input_digests``, so they
+share cache entries and golden reports byte for byte.
 """
 
 from __future__ import annotations

@@ -2,6 +2,10 @@
 
 from datetime import date
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.analysis.attribution import (
     attribution_accuracy,
     cluster_campaigns,
@@ -67,6 +71,47 @@ class TestClustering:
             ]
         )
         assert clusters[0].span_days == 245
+
+
+def _networkx_clusters(findings):
+    """The reference: networkx's connected components over the
+    victim-infrastructure graph, as domain, IP and nameserver sets."""
+    nx = pytest.importorskip("networkx")
+    graph = nx.Graph()
+    for f in findings:
+        graph.add_node(("victim", f.domain))
+        for ip in f.attacker_ips:
+            graph.add_edge(("victim", f.domain), ("ip", ip))
+        for ns in f.attacker_ns:
+            graph.add_edge(("victim", f.domain), ("ns", ns))
+    return sorted(
+        tuple(
+            tuple(sorted(value for k, value in component if k == kind))
+            for kind in ("victim", "ip", "ns")
+        )
+        for component in nx.connected_components(graph)
+    )
+
+
+_infra = st.lists(st.sampled_from(["1.1.1.1", "2.2.2.2", "3.3.3.3", "4.4.4.4"]), max_size=2)
+_ns = st.lists(st.sampled_from(["ns1.rogue.net", "ns2.rogue.net", "ns.evil.org"]), max_size=2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([f"v{i}.gov" for i in range(8)]), _infra, _ns),
+        max_size=8,
+    )
+)
+def test_clusters_match_networkx_components(rows):
+    findings = [finding(domain, ips=ips, ns=ns) for domain, ips, ns in rows]
+    clusters = cluster_campaigns(findings)
+    assert sorted((c.domains, c.ips, c.nameservers) for c in clusters) == _networkx_clusters(
+        findings
+    )
+    sizes = [(-c.size, c.domains) for c in clusters]
+    assert sizes == sorted(sizes)
 
 
 class TestAccuracy:

@@ -16,8 +16,9 @@ import pytest
 from repro.cache import StageCache, derive_run_key, stage_fingerprint
 from repro.cache.store import _MAGIC
 from repro.cli import main
-from repro.core.pipeline import PipelineConfig, PipelineInputs
+from repro.core.pipeline import PipelineConfig, PipelineInputs, build_stages
 from repro.exec.metrics import StageStats, format_run_metrics
+from repro.exec.stage import fingerprint_chain
 from repro.faults import FaultPlan
 from repro.io.golden import encode_report
 
@@ -279,8 +280,18 @@ class TestRunWiring:
     def test_unknown_config_dep_raises(self, small_study):
         inputs = PipelineInputs.from_study(small_study)
         key = derive_run_key(inputs, FaultPlan.from_spec(None), PipelineConfig())
+        stage = build_stages()[0]
+        stage.config_deps = ("no_such_knob",)
         with pytest.raises(ValueError, match="unknown config dependencies"):
-            stage_fingerprint(key, [("bogus", 1, ("no_such_knob",))])
+            stage_fingerprint(key, fingerprint_chain([stage]))
+
+    def test_unknown_input_channel_raises(self, small_study):
+        inputs = PipelineInputs.from_study(small_study)
+        key = derive_run_key(inputs, FaultPlan.from_spec(None), PipelineConfig())
+        stage = build_stages()[0]
+        stage.input_deps = ("scan", "whois")
+        with pytest.raises(ValueError, match="unknown input channels"):
+            stage_fingerprint(key, fingerprint_chain([stage]))
 
 
 class TestCacheCLI:

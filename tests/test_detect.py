@@ -145,6 +145,16 @@ def test_hunt_path_imports_no_numpy():
     subprocess.run([sys.executable, "-c", code], check=True)
 
 
+def test_cli_imports_no_networkx():
+    # The package does not declare networkx; attribution clusters by
+    # union-find, so the CLI and the analyses it imports run without it.
+    import subprocess
+    import sys
+
+    code = "import sys, repro.cli, repro.analysis; assert 'networkx' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
 def test_restrict_inputs_rejects_unknown_channel(small_bundle):
     with pytest.raises(ValueError, match="unknown input channels"):
         restrict_inputs(small_bundle, ("scan", "quantum"))

@@ -35,7 +35,7 @@ from repro.epochs import (
     run_epoch,
     write_delta,
 )
-from repro.exec import ProcessPoolBackend
+from repro.exec import ProcessPoolBackend, fingerprint_chain
 from repro.exec.metrics import StageStats
 from repro.faults import DataQuality, FaultPlan, apply_faults
 from repro.io.golden import encode_report
@@ -468,9 +468,10 @@ class TestRunEpoch:
         plan = FaultPlan.from_spec(None)
         config = PipelineConfig()
         stage = build_stages()[0]
-        chain = [(stage.name, stage.cache_version, stage.config_deps)]
         degraded = apply_faults(world, plan, DataQuality())
-        base_fp = stage_fingerprint(derive_run_key(degraded, plan, config), chain)
+        base_fp = stage_fingerprint(
+            derive_run_key(degraded, plan, config), fingerprint_chain([stage])
+        )
         domains = world.scan.domains()
         n = len(domains)
         encoded = [

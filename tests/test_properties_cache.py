@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.fingerprint import (
+    INPUT_CHANNELS,
     RunKey,
     derive_run_key,
     jsonable,
@@ -37,6 +38,7 @@ from repro.core.inspection import InspectionConfig
 from repro.core.patterns import PatternConfig
 from repro.core.pipeline import PipelineConfig
 from repro.core.shortlist import ShortlistConfig
+from repro.exec.stage import Stage, fingerprint_chain
 from repro.faults.plan import FaultPlan, FaultSpec
 
 # -- strategies ----------------------------------------------------------------
@@ -97,16 +99,35 @@ _config = st.builds(
     enable_t1_star=st.booleans(),
 )
 
+class _Link(Stage):
+    """A stage reduced to what keys it: name, version and declarations."""
+
+    def __init__(self, name, cache_version, config_deps=None, input_deps=None):
+        self.name = name
+        self.cache_version = cache_version
+        self.config_deps = config_deps
+        self.input_deps = input_deps
+
+    def run(self, ctx, backend):  # pragma: no cover - never executed
+        raise NotImplementedError
+
+
+_input_deps = st.one_of(
+    st.none(), st.lists(st.sampled_from(INPUT_CHANNELS), unique=True).map(tuple)
+)
+
 _chain = st.lists(
-    st.tuples(
+    st.builds(
+        _Link,
         st.sampled_from(["deployment_maps", "classify", "shortlist", "inspect"]),
         st.integers(min_value=1, max_value=5),
         st.none(),
+        _input_deps,
     ),
     min_size=1,
     max_size=4,
-    unique_by=lambda entry: entry[0],
-)
+    unique_by=lambda stage: stage.name,
+).map(fingerprint_chain)
 
 _EMPTY_PLAN = FaultPlan.from_spec(None)
 
@@ -114,15 +135,23 @@ _EMPTY_PLAN = FaultPlan.from_spec(None)
 class _FakeInputs:
     """Stands in for PipelineInputs when only config/fault digests matter.
 
-    ``inputs_digest`` honors the memo attribute, so the digest walk is
+    ``input_digests`` honors the memo attribute, so the digest walk is
     skipped; the real walk is covered by the content tests below.
     """
 
-    _repro_inputs_digest = "i" * 32
+    _repro_input_digests = tuple((name, name[0] * 32) for name in INPUT_CHANNELS)
 
 
 def _key(config: PipelineConfig, plan: FaultPlan = _EMPTY_PLAN) -> RunKey:
     return derive_run_key(_FakeInputs(), plan, config)
+
+
+def _relink(chain, index: int, **changes):
+    """``chain`` rebuilt with its ``index``-th stage's declarations changed."""
+    stages = [_Link(*link) for link in chain]
+    for name, value in changes.items():
+        setattr(stages[index], name, value)
+    return fingerprint_chain(stages)
 
 
 # -- determinism ---------------------------------------------------------------
@@ -299,13 +328,16 @@ class TestSensitivity:
         index = data.draw(
             st.integers(min_value=0, max_value=len(chain) - 1), label="index"
         )
-        name, version, deps = chain[index]
-        bumped = list(chain)
-        bumped[index] = (name, version + 1, deps)
+        name, version, _config_deps, input_deps = chain[index]
+        bumped = _relink(chain, index, cache_version=version + 1)
         assert stage_fingerprint(key, bumped) != original
-        renamed = list(chain)
-        renamed[index] = (name + "_v2", version, deps)
+        renamed = _relink(chain, index, name=name + "_v2")
         assert stage_fingerprint(key, renamed) != original
+        # Declaring another channel read is a different computation.
+        widened = _relink(
+            chain, index, input_deps=None if input_deps is not None else ("scan",)
+        )
+        assert stage_fingerprint(key, widened) != original
         if len(chain) > 1:
             # A strict prefix is a different stage's address.
             assert stage_fingerprint(key, chain[:-1]) != original
@@ -315,11 +347,15 @@ class TestSensitivity:
     def test_inputs_and_faults_are_key_material(self, config, chain):
         key = _key(config)
         other_inputs = RunKey(
-            inputs="j" * 32, faults=key.faults, config_fields=key.config_fields
+            inputs=tuple((name, "j" * 32) for name, _ in key.inputs),
+            faults=key.faults,
+            config_fields=key.config_fields,
         )
-        assert stage_fingerprint(key, chain) != stage_fingerprint(
-            other_inputs, chain
-        )
+        # Unless every stage of the chain declares it reads nothing.
+        read = any(deps is None or deps for *_, deps in chain)
+        assert (
+            stage_fingerprint(key, chain) != stage_fingerprint(other_inputs, chain)
+        ) is read
         other_faults = RunKey(
             inputs=key.inputs, faults="f" * 32, config_fields=key.config_fields
         )
@@ -328,11 +364,30 @@ class TestSensitivity:
         )
 
     @settings(max_examples=60)
+    @given(_config, _chain, st.sampled_from(INPUT_CHANNELS))
+    def test_exactly_the_declared_channels_are_key_material(
+        self, config, chain, channel
+    ):
+        """A channel's digest keys a stage iff some stage of its chain
+        prefix reads it (every channel, for a stage declaring none)."""
+        key = _key(config)
+        moved = RunKey(
+            inputs=tuple(
+                (name, "m" * 32 if name == channel else digest)
+                for name, digest in key.inputs
+            ),
+            faults=key.faults,
+            config_fields=key.config_fields,
+        )
+        read = any(deps is None or channel in deps for *_, deps in chain)
+        assert (stage_fingerprint(key, chain) != stage_fingerprint(moved, chain)) is read
+
+    @settings(max_examples=60)
     @given(_config, st.data())
     def test_scoped_deps_ignore_unrelated_sections(self, config, data):
         """The sweep-reuse property: a stage keyed only on
         ``max_gap_scans`` is untouched by inspection-knob changes."""
-        chain = [("deployment_maps", 1, ("max_gap_scans",))]
+        chain = fingerprint_chain([_Link("deployment_maps", 1, ("max_gap_scans",))])
         leaf = data.draw(st.sampled_from(fields(InspectionConfig)), label="leaf")
         other = dataclasses.replace(
             config,
